@@ -15,6 +15,33 @@
 
 namespace jsrev::detect {
 
+/// Books verdicts into detector.verdicts{detector=...,verdict=...}. Counter
+/// handles resolve on first use (a detector's name() is not callable from
+/// its constructor) and are cached per instance.
+class VerdictCounter {
+ public:
+  /// Counts `verdict` for `detector` and returns it unchanged.
+  int record(const std::string& detector, int verdict) const {
+    auto& slot = verdict == 0 ? benign_ : malicious_;
+    obs::Counter* c = slot.load(std::memory_order_acquire);
+    if (c == nullptr) {
+      // Racing initializers all receive the same registry handle, so the
+      // store order is immaterial.
+      c = obs::metrics().counter(
+          "detector.verdicts",
+          {{"detector", detector},
+           {"verdict", verdict == 0 ? "benign" : "malicious"}});
+      slot.store(c, std::memory_order_release);
+    }
+    c->add();
+    return verdict;
+  }
+
+ private:
+  mutable std::atomic<obs::Counter*> benign_{nullptr};
+  mutable std::atomic<obs::Counter*> malicious_{nullptr};
+};
+
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -63,30 +90,14 @@ class Detector {
   }
 
  protected:
-  /// Books one verdict into detector.verdicts{detector=name(),verdict=...}
-  /// and returns it unchanged, so classify() bodies end with
-  /// `return record_verdict(...)`. Counter handles resolve on first use
-  /// (name() is not callable from the constructor) and are cached per
-  /// detector instance.
+  /// Books one verdict under name() (see VerdictCounter) and returns it
+  /// unchanged, so classify() bodies end with `return record_verdict(...)`.
   int record_verdict(int verdict) const {
-    auto& slot = verdict == 0 ? benign_count_ : malicious_count_;
-    obs::Counter* c = slot.load(std::memory_order_acquire);
-    if (c == nullptr) {
-      // Racing initializers all receive the same registry handle, so the
-      // store order is immaterial.
-      c = obs::metrics().counter(
-          "detector.verdicts",
-          {{"detector", name()},
-           {"verdict", verdict == 0 ? "benign" : "malicious"}});
-      slot.store(c, std::memory_order_release);
-    }
-    c->add();
-    return verdict;
+    return verdicts_.record(name(), verdict);
   }
 
  private:
-  mutable std::atomic<obs::Counter*> benign_count_{nullptr};
-  mutable std::atomic<obs::Counter*> malicious_count_{nullptr};
+  VerdictCounter verdicts_;
 };
 
 /// Builds the shared per-sample analyses of a corpus, forcing the parse in

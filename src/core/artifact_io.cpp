@@ -1,5 +1,7 @@
 // JSRM v3 artifact writer: serializes a trained JsRevealer into the
-// page-aligned, checksummed section layout of core/model_format.h.
+// page-aligned, checksummed section layout of core/model_format.h. train()
+// builds the bytes once and attaches its ModelView to them; save_artifact()
+// hands those same bytes back.
 //
 // The writer gathers every parameter block in its flat training-time form
 // (the vocabulary's three buffers verbatim, the attention matrices' backing
@@ -53,25 +55,20 @@ void add_vector_section(std::vector<std::uint8_t>* buf,
   add_section(buf, sections, id, v.data(), v.size() * sizeof(T));
 }
 
+void require_trained(const ModelView& view) {
+  if (!view.loaded()) {
+    throw std::logic_error("JsRevealer: no artifact before train()");
+  }
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> JsRevealer::save_artifact() const {
-  if (!trained_) {
-    throw std::logic_error("JsRevealer::save_artifact: detector is not trained");
-  }
-  const auto* forest =
-      dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  if (forest == nullptr) {
-    throw std::logic_error(
-        "JsRevealer::save_artifact: persistence supports the random-forest "
-        "classifier only");
-  }
-
+std::vector<std::uint8_t> JsRevealer::build_artifact() const {
   // Flatten the forest and the interpretability index up front; every other
   // block already lives in its serialized form.
   std::vector<ml::ForestNodeRec> forest_nodes;
   std::vector<std::uint32_t> forest_offsets;
-  forest->export_flat(&forest_nodes, &forest_offsets);
+  forest_.export_flat(&forest_nodes, &forest_offsets);
 
   std::string central_blob;
   std::vector<std::uint32_t> central_offsets;
@@ -96,7 +93,7 @@ std::vector<std::uint8_t> JsRevealer::save_artifact() const {
   hdr.clusters_removed = static_cast<std::uint32_t>(clusters_removed_);
   hdr.vocab_size = static_cast<std::uint32_t>(vocab_.size());
   hdr.vocab_table_size = static_cast<std::uint32_t>(vocab_.table().size());
-  hdr.n_trees = static_cast<std::uint32_t>(forest->tree_count());
+  hdr.n_trees = static_cast<std::uint32_t>(forest_.tree_count());
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
   hdr.max_vocab = cfg_.max_vocab;
@@ -147,12 +144,17 @@ std::vector<std::uint8_t> JsRevealer::save_artifact() const {
   return buf;
 }
 
+std::vector<std::uint8_t> JsRevealer::save_artifact() const {
+  require_trained(view_);
+  return {view_.data_, view_.data_ + view_.size_};
+}
+
 void JsRevealer::save_artifact_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = save_artifact();
+  require_trained(view_);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  out.write(reinterpret_cast<const char*>(view_.data_),
+            static_cast<std::streamsize>(view_.size_));
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "js/parse_limits.h"
-#include "ml/classifier.h"
 #include "paths/path_extraction.h"
 
 namespace jsrev::core {
@@ -47,9 +46,6 @@ struct Config {
   double overlap_factor = 0.15;
   // Run the MetaOD-substitute selector instead of hardwiring FastABOD.
   bool run_outlier_selection = false;
-
-  // Classification (paper: random forest chosen in Table II).
-  ml::ClassifierKind classifier = ml::ClassifierKind::kRandomForest;
 
   // Append the semantic lint summary vector (src/lint) to every feature
   // vector: [malice diags, hygiene diags, severity-weighted score, distinct

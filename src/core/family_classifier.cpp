@@ -12,7 +12,7 @@ FamilyClassifier::FamilyClassifier(std::size_t threads) : threads_(threads) {
   forest_ = ml::MulticlassRandomForest(fc);
 }
 
-std::size_t FamilyClassifier::train(const JsRevealer& detector,
+std::size_t FamilyClassifier::train(const ModelView& view,
                                     const dataset::Corpus& corpus) {
   label_.clear();
   families_.clear();
@@ -34,13 +34,13 @@ std::size_t FamilyClassifier::train(const JsRevealer& detector,
   std::vector<std::vector<double>> feats(malicious.size());
   parallel_for_threads(threads_, malicious.size(), [&](std::size_t i) {
     try {
-      feats[i] = detector.featurize(malicious[i]->source);
+      feats[i] = view.featurize(malicious[i]->source);
     } catch (const std::exception&) {
       // left empty: skipped during compaction
     }
   });
 
-  ml::Matrix x(malicious.size(), detector.feature_count());
+  ml::Matrix x(malicious.size(), view.feature_count());
   std::vector<int> y(malicious.size());
   std::size_t used = 0;
   for (std::size_t i = 0; i < malicious.size(); ++i) {
@@ -50,7 +50,7 @@ std::size_t FamilyClassifier::train(const JsRevealer& detector,
     ++used;
   }
   // Shrink to the rows actually filled.
-  ml::Matrix xs(used, detector.feature_count());
+  ml::Matrix xs(used, view.feature_count());
   for (std::size_t i = 0; i < used; ++i) {
     std::copy(x.row(i), x.row(i) + x.cols(), xs.row(i));
   }
@@ -61,12 +61,12 @@ std::size_t FamilyClassifier::train(const JsRevealer& detector,
   return used;
 }
 
-std::string FamilyClassifier::classify(const JsRevealer& detector,
+std::string FamilyClassifier::classify(const ModelView& view,
                                        const std::string& source) const {
   if (!trained_) return {};
   std::vector<double> f;
   try {
-    f = detector.featurize(source);
+    f = view.featurize(source);
   } catch (const std::exception&) {
     return {};
   }
@@ -76,20 +76,20 @@ std::string FamilyClassifier::classify(const JsRevealer& detector,
              : std::string();
 }
 
-double FamilyClassifier::evaluate(const JsRevealer& detector,
+double FamilyClassifier::evaluate(const ModelView& view,
                                   const dataset::Corpus& corpus) const {
   std::size_t correct = 0, total = 0;
   for (const auto& s : corpus.samples) {
     if (s.label != 1 || s.family.empty() || label_of(s.family) < 0) continue;
     ++total;
-    correct += classify(detector, s.source) == s.family;
+    correct += classify(view, s.source) == s.family;
   }
   return total > 0 ? static_cast<double>(correct) / static_cast<double>(total)
                    : 0.0;
 }
 
 std::vector<std::vector<double>> FamilyClassifier::confusion(
-    const JsRevealer& detector, const dataset::Corpus& corpus) const {
+    const ModelView& view, const dataset::Corpus& corpus) const {
   const std::size_t k = families_.size();
   std::vector<std::vector<double>> m(k, std::vector<double>(k, 0.0));
   std::vector<std::size_t> row_totals(k, 0);
@@ -97,7 +97,7 @@ std::vector<std::vector<double>> FamilyClassifier::confusion(
     if (s.label != 1 || s.family.empty()) continue;
     const int truth = label_of(s.family);
     if (truth < 0) continue;
-    const std::string predicted = classify(detector, s.source);
+    const std::string predicted = classify(view, s.source);
     const int pred = label_of(predicted);
     if (pred < 0) continue;
     m[static_cast<std::size_t>(truth)][static_cast<std::size_t>(pred)] += 1.0;

@@ -1,12 +1,12 @@
-// Cluster-membership featurization shared by the heap-trained JsRevealer
-// and the mmap-backed ModelView.
+// Cluster-membership featurization shared by JsRevealer's training stage
+// and ModelView's inference.
 //
 // ClusterParams is a borrowed view over the trained cluster geometry as flat
 // arrays (centroid matrix, RMS radii, and the per-centroid benign-origin
 // bitset in its packed u64 form). cluster_features() is the single
-// implementation of paper Section III-D's attention-mass accumulation; both
-// detector forms call it with pointers into their own storage, so heap and
-// mapped feature vectors are bit-identical by construction.
+// implementation of paper Section III-D's attention-mass accumulation: the
+// trainer builds the forest's training rows with it over its own storage,
+// and ModelView computes every inference row with it over the artifact.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +28,8 @@ inline bool benign_bit(const std::uint64_t* words, std::size_t i) {
 }
 
 /// Sets centroid `i`'s benign-origin bit.
-inline void set_benign_bit(std::uint64_t* words, std::size_t i, bool v) {
-  if (v) {
-    words[i >> 6] |= 1ULL << (i & 63);
-  } else {
-    words[i >> 6] &= ~(1ULL << (i & 63));
-  }
+inline void set_benign_bit(std::uint64_t* words, std::size_t i) {
+  words[i >> 6] |= 1ULL << (i & 63);
 }
 
 /// Borrowed view of the trained cluster geometry.

@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
-#include <stdexcept>
 
-#include "ml/decision_tree.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace jsrev::core {
-
-void StageTimings::reset_inference() {
-  parse.reset();
-  enhanced_ast.reset();
-  path_traversal.reset();
-  embedding.reset();
-  classifying.reset();
-}
 
 JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
   if (cfg_.trace) obs::Tracer::global().set_enabled(true);
@@ -29,57 +20,31 @@ JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
   mc.learning_rate = cfg_.learning_rate;
   mc.seed = cfg_.seed;
   model_ = ml::AttentionModel(mc);
-  classifier_ = ml::make_classifier(cfg_.classifier, cfg_.seed, cfg_.threads);
+  ml::ForestConfig fc;
+  fc.seed = cfg_.seed;
+  fc.threads = cfg_.threads;
+  forest_ = ml::RandomForest(fc);
+  // The artifact carries no parse limits or width; the view takes this
+  // detector's, so string inputs are analyzed exactly as configured.
+  view_.name_ = "JSRevealer";
+  view_.parse_limits_ = cfg_.parse_limits;
+  view_.deobfuscate_ = cfg_.deobfuscate;
+  view_.threads_ = cfg_.threads;
 }
 
 std::vector<paths::PathContext> JsRevealer::extract(
-    const analysis::ScriptAnalysis& analysis, bool timed) const {
-  if (analysis.parse_failed()) {
-    throw std::runtime_error(analysis.parse_error());
-  }
-
-  // Forcing dataflow() here is free when another consumer (lint, a second
-  // detector) already materialized it on the shared artifact; the sampled
-  // cost is then near zero, and the true cost was sampled by whoever forced
-  // it first.
-  Timer t1;
+    const analysis::ScriptAnalysis& analysis) const {
+  if (analysis.parse_failed()) return {};
   const analysis::DataFlowInfo* flow =
       cfg_.path.use_dataflow ? &analysis.dataflow() : nullptr;
-  const double ast_ms = t1.elapsed_ms();
-
-  Timer t2;
-  auto pcs = paths::extract_paths(analysis.root(), flow, cfg_.path);
-  const double traverse_ms = t2.elapsed_ms();
-
-  if (timed) {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    // take_parse_cost: the parse is booked by its first claimant only, so a
-    // warm (already-parsed) analysis contributes a zero sample instead of
-    // re-booking work that did not run in this batch.
-    timings_.parse.add(analysis.take_parse_cost());
-    timings_.enhanced_ast.add(ast_ms);
-    timings_.path_traversal.add(traverse_ms);
-  }
-  if (obs::VerdictProvenance* prov = analysis.provenance()) {
-    prov->stage_ms.parse = analysis.parse_ms();
-    prov->stage_ms.enhanced_ast = ast_ms;
-    prov->stage_ms.path_traversal = traverse_ms;
-  }
-  return pcs;
-}
-
-std::vector<std::int32_t> JsRevealer::to_ids(
-    const std::vector<paths::PathContext>& pcs) const {
-  std::vector<std::int32_t> ids;
-  ids.reserve(pcs.size());
-  for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
-  return ids;
+  return paths::extract_paths(analysis.root(), flow, cfg_.path);
 }
 
 void JsRevealer::train(const dataset::Corpus& corpus) {
   obs::Span train_span("core.train", "core");
   Rng rng(cfg_.seed);
-  timings_.threads = resolve_threads(cfg_.threads);
+  StageTimings& timings = view_.timings_;
+  timings.threads = resolve_threads(cfg_.threads);
 
   // ---- Stage 1: path extraction over the training corpus (grows vocab) ---
   // Parse + enhanced-AST analysis + path enumeration fan out per file (the
@@ -100,16 +65,12 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       const analysis::ScriptAnalysis a(corpus.samples[i].source,
                                        cfg_.parse_limits,
                                        cfg_.deobfuscate);
-      try {
-        extracted[i] = extract(a, /*timed=*/true);
-      } catch (const std::exception&) {
-        // unparseable training sample contributes nothing
-      }
+      extracted[i] = extract(a);  // unparseable: contributes nothing
       if (lint_dim_ != 0) {
         lint_vecs[i] = lint::lint_feature_vector(linter_.lint(a));
       }
     });
-    timings_.enhanced_ast.add_wall(t_wall.elapsed_ms());
+    timings.enhanced_ast.add_wall(t_wall.elapsed_ms());
   }
 
   std::vector<std::vector<std::int32_t>> script_ids(n_samples);
@@ -156,7 +117,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     const double total = t.elapsed_ms();
     if (!train_scripts.empty()) {
       // Table VIII reports pre-training time per file.
-      timings_.pretraining.add(total /
+      timings.pretraining.add(total /
                                static_cast<double>(train_scripts.size()));
     }
   }
@@ -203,8 +164,8 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     } else {
       out = ml::run_outlier(outlier_method_, vecs, ocfg);
     }
-    timings_.outlier.add(t_out.elapsed_ms());
-    timings_.outlier.add_wall(t_out.elapsed_ms());
+    timings.outlier.add(t_out.elapsed_ms());
+    timings.outlier.add_wall(t_out.elapsed_ms());
 
     std::size_t kept = 0;
     for (std::size_t r = 0; r < vecs.rows(); ++r) kept += !out.is_outlier[r];
@@ -238,8 +199,8 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   km.seed = rng();
   km.threads = cfg_.threads;
   const ml::Clustering cm = ml::bisecting_kmeans(malicious_vecs, km);
-  timings_.clustering.add(t_cluster.elapsed_ms());
-  timings_.clustering.add_wall(t_cluster.elapsed_ms());
+  timings.clustering.add(t_cluster.elapsed_ms());
+  timings.clustering.add_wall(t_cluster.elapsed_ms());
 
   // ---- Stage 4: overlap removal between the two cluster sets --------------
   const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
@@ -286,7 +247,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     if (drop_b[i]) continue;
     std::copy(cb.centroids.row(i), cb.centroids.row(i) + d,
               centroids_.row(row));
-    set_benign_bit(centroid_benign_.data(), row, true);
+    set_benign_bit(centroid_benign_.data(), row);
     centroid_radius_[row] = rms_radius(cb, i);
     ++row;
   }
@@ -301,11 +262,13 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // Interpretability inverse index: nearest inlier vector (with its vocab
   // id) to each surviving centroid.
   central_path_.assign(feature_dim_, std::string());
+  std::vector<double> nearest_d(feature_dim_,
+                                std::numeric_limits<double>::max());
   auto assign_central = [&](const ml::Matrix& vecs,
                             const std::vector<std::int32_t>& ids) {
     // O(feature_dim * n * d) scan; each feature owns its slots.
     parallel_for_threads(cfg_.threads, feature_dim_, [&](std::size_t f) {
-      double best = centroid_nearest_d_[f];
+      double best = nearest_d[f];
       for (std::size_t r = 0; r < vecs.rows(); ++r) {
         const double dist = ml::squared_distance(centroids_.row(f),
                                                  vecs.row(r), d);
@@ -314,11 +277,9 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
           central_path_[f] = std::string(vocab_.key(ids[r]));
         }
       }
-      centroid_nearest_d_[f] = best;
+      nearest_d[f] = best;
     });
   };
-  centroid_nearest_d_.assign(feature_dim_,
-                             std::numeric_limits<double>::max());
   assign_central(benign_vecs, benign_ids);
   assign_central(malicious_vecs, malicious_ids);
 
@@ -326,7 +287,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // Cluster-membership features, then (when enabled) the per-script lint
   // summary tail. Both land in disjoint row slots, so the fan-out keeps the
   // bit-identical-at-any-width guarantee.
-  trained_ = true;  // featurize() needs the centroids from here on
   ml::Matrix x(n_samples, feature_dim_ + lint_dim_);
   std::vector<int> y(n_samples);
   {
@@ -342,22 +302,31 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       }
       y[i] = labels[i];
     });
-    timings_.embedding.add_wall(t_wall.elapsed_ms());
+    timings.embedding.add_wall(t_wall.elapsed_ms());
   }
   scaler_.fit(x);
   scaler_.transform(x);
 
   Timer t_fit;
-  classifier_->fit(x, y);
-  timings_.classifier_train.add(t_fit.elapsed_ms() /
-                                std::max<std::size_t>(1, x.rows()));
-  timings_.classifier_train.add_wall(t_fit.elapsed_ms());
+  forest_.fit(x, y);
+  timings.classifier_train.add(t_fit.elapsed_ms() /
+                               std::max<std::size_t>(1, x.rows()));
+  timings.classifier_train.add_wall(t_fit.elapsed_ms());
+
+  // ---- Stage 6: build the artifact and classify through it from here on --
+  // Trusted attach: the bytes were built in this process a moment ago.
+  obs::Span span("core.train.artifact", "core");
+  view_.from_buffer(build_artifact(), /*verify_checksums=*/false);
+  // The artifact does not carry the per-script path cap; like the parse
+  // limits it comes from this detector's config, so inference extracts
+  // exactly the paths training did.
+  view_.path_cfg_.max_paths = cfg_.path.max_paths;
 }
 
 std::vector<double> JsRevealer::features_from_embedding(
-    const ml::EmbeddedScript& emb, obs::VerdictProvenance* prov) const {
-  // Shared kernel over this detector's own storage — the same code a mapped
-  // ModelView runs, so heap and artifact feature vectors are bit-identical.
+    const ml::EmbeddedScript& emb) const {
+  // The kernel ModelView runs, over this trainer's own storage, so training
+  // rows match what the view computes for the same scripts.
   ClusterParams p;
   p.centroids = centroids_.data().data();
   p.radius = centroid_radius_.data();
@@ -365,160 +334,7 @@ std::vector<double> JsRevealer::features_from_embedding(
   p.feature_dim = static_cast<std::uint32_t>(feature_dim_);
   p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
   p.binary_features = cfg_.binary_cluster_features;
-  return cluster_features(p, emb, prov);
-}
-
-std::vector<double> JsRevealer::featurize(const std::string& source) const {
-  return featurize(
-      analysis::ScriptAnalysis(source, cfg_.parse_limits, cfg_.deobfuscate));
-}
-
-std::vector<double> JsRevealer::featurize(
-    const analysis::ScriptAnalysis& analysis) const {
-  obs::VerdictProvenance* prov = analysis.provenance();
-  const auto pcs = extract(analysis, /*timed=*/true);
-
-  Timer t_embed;
-  const auto ids = to_ids(pcs);
-  ml::EmbeddedScript emb = model_.embed(ids);
-  const double embed_ms = t_embed.elapsed_ms();
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.embedding.add(embed_ms);
-  }
-
-  std::vector<double> f = features_from_embedding(emb, prov);
-  if (lint_dim_ != 0) {
-    // Shares the analysis' memoized AST/scope/data-flow with extract():
-    // the lint tail costs no second parse.
-    Timer t_lint;
-    const lint::LintResult lr = linter_.lint(analysis);
-    const std::vector<double> lf = lint::lint_feature_vector(lr);
-    f.insert(f.end(), lf.begin(), lf.end());
-    if (prov != nullptr) {
-      prov->stage_ms.lint = t_lint.elapsed_ms();
-      prov->lint_malice_diags = 0;
-      prov->lint_hygiene_diags = 0;
-      prov->lint_rules_fired.clear();
-      for (const lint::Diagnostic& diag : lr.diagnostics) {
-        if (diag.category == lint::Category::kMalice) {
-          ++prov->lint_malice_diags;
-        } else {
-          ++prov->lint_hygiene_diags;
-        }
-        prov->lint_rules_fired.push_back(diag.rule_id);
-      }
-      std::sort(prov->lint_rules_fired.begin(), prov->lint_rules_fired.end());
-      prov->lint_rules_fired.erase(
-          std::unique(prov->lint_rules_fired.begin(),
-                      prov->lint_rules_fired.end()),
-          prov->lint_rules_fired.end());
-    }
-  }
-  if (prov != nullptr) {
-    prov->source_bytes = analysis.source().size();
-    prov->path_count = pcs.size();
-    prov->known_path_count = static_cast<std::size_t>(
-        std::count_if(ids.begin(), ids.end(),
-                      [](std::int32_t id) { return id >= 0; }));
-    prov->stage_ms.embedding = embed_ms;
-    prov->train_clusters_removed = clusters_removed_;
-  }
-  scaler_.transform_row(f.data());
-  return f;
-}
-
-int JsRevealer::classify(const std::string& source) const {
-  return classify(
-      analysis::ScriptAnalysis(source, cfg_.parse_limits, cfg_.deobfuscate));
-}
-
-int JsRevealer::classify(const analysis::ScriptAnalysis& analysis) const {
-  obs::Span span("core.classify", "core");
-  obs::VerdictProvenance* prov = analysis.provenance();
-  if (prov != nullptr) {
-    prov->detector = name();
-    prov->source_bytes = analysis.source().size();
-    prov->train_clusters_removed = clusters_removed_;
-  }
-  if (!trained_) {
-    if (prov != nullptr) prov->verdict = 1;
-    return record_verdict(1);
-  }
-  const int verdict = analysis.classify_or_malicious([&]() -> int {
-    try {
-      const std::vector<double> f = featurize(analysis);
-      Timer t;
-      const int v = classifier_->predict(f.data());
-      const double predict_ms = t.elapsed_ms();
-      {
-        std::lock_guard<std::mutex> lock(timing_mu_);
-        timings_.classifying.add(predict_ms);
-      }
-      if (prov != nullptr) prov->stage_ms.classify = predict_ms;
-      return v;
-    } catch (const std::exception&) {
-      return 1;  // degenerate input that survives the parse → same verdict
-    }
-  });
-  if (prov != nullptr) {
-    prov->verdict = verdict;
-    prov->parse_failed = analysis.parse_failed();
-    if (prov->parse_failed) {
-      prov->parse_error = analysis.parse_error();
-      prov->parse_limit_trip = analysis.parse_limit_trip();
-    }
-  }
-  return record_verdict(verdict);
-}
-
-obs::VerdictProvenance JsRevealer::explain(const std::string& source) const {
-  analysis::ScriptAnalysis analysis(source, cfg_.parse_limits,
-                                    cfg_.deobfuscate);
-  analysis.enable_provenance();
-  classify(analysis);
-  return *analysis.provenance();
-}
-
-std::vector<int> JsRevealer::classify_all(
-    const std::vector<std::string>& sources) const {
-  // Inference is read-only on the trained model (classify/featurize are
-  // const and internally synchronized on the timing sink), so scripts fan
-  // out independently with verdicts written to disjoint slots.
-  std::vector<int> verdicts(sources.size(), 1);
-  obs::Span span("core.classify_all", "core");
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.reset_inference();  // this batch's stages only (see StageTimings)
-  }
-  Timer t_wall;
-  parallel_for_threads(cfg_.threads, sources.size(), [&](std::size_t i) {
-    verdicts[i] = classify(sources[i]);
-  });
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.classifying.add_wall(t_wall.elapsed_ms());
-  }
-  return verdicts;
-}
-
-std::vector<int> JsRevealer::classify_all(
-    const analysis::AnalyzedCorpus& corpus) const {
-  std::vector<int> verdicts(corpus.size(), 1);
-  obs::Span span("core.classify_all", "core");
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.reset_inference();  // this batch's stages only (see StageTimings)
-  }
-  Timer t_wall;
-  parallel_for_threads(cfg_.threads, corpus.size(), [&](std::size_t i) {
-    verdicts[i] = classify(*corpus.scripts[i]);
-  });
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.classifying.add_wall(t_wall.elapsed_ms());
-  }
-  return verdicts;
+  return cluster_features(p, emb);
 }
 
 ml::Metrics JsRevealer::evaluate(const dataset::Corpus& corpus) const {
@@ -533,16 +349,11 @@ ml::Metrics JsRevealer::evaluate(const dataset::Corpus& corpus) const {
   return ml::compute_metrics(truth, classify_all(sources));
 }
 
-ml::Metrics JsRevealer::evaluate(const analysis::AnalyzedCorpus& corpus) const {
-  return ml::compute_metrics(corpus.labels, classify_all(corpus));
-}
-
 std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
   std::vector<FeatureReportEntry> out;
-  const auto* forest = dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  if (forest == nullptr || !trained_) return out;
+  if (!view_.loaded()) return out;
 
-  const std::vector<double> imp = forest->feature_importances();
+  const std::vector<double> imp = forest_.feature_importances();
   std::vector<std::size_t> order(imp.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&imp](std::size_t a, std::size_t b) {
@@ -581,15 +392,9 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
       cfg_.threads, corpus.samples.size(), [&](std::size_t i) {
         const auto& s = corpus.samples[i];
         if (s.label != label) return;
-        std::vector<paths::PathContext> pcs;
-        try {
-          const analysis::ScriptAnalysis a(s.source, cfg_.parse_limits,
-                                           cfg_.deobfuscate);
-          pcs = extract(a, /*timed=*/false);
-        } catch (const std::exception&) {
-          return;
-        }
-        for (const auto& pc : pcs) {
+        const analysis::ScriptAnalysis a(s.source, cfg_.parse_limits,
+                                         cfg_.deobfuscate);
+        for (const auto& pc : extract(a)) {
           const std::int32_t id = vocab_.lookup(pc);
           if (id >= 0) per_script[i].push_back(id);
         }

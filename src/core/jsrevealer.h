@@ -3,22 +3,20 @@
 // slots into the same evaluation harness as the baselines.
 #pragma once
 
-#include <iosfwd>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "baselines/detector.h"
 #include "core/config.h"
-#include "core/feature_ops.h"
+#include "core/model_view.h"
 #include "lint/linter.h"
 #include "ml/attention_model.h"
+#include "ml/decision_tree.h"
 #include "ml/kmeans.h"
 #include "ml/outlier.h"
 #include "ml/scaler.h"
 #include "paths/vocab.h"
-#include "util/timer.h"
 
 namespace jsrev::core {
 
@@ -30,64 +28,43 @@ struct FeatureReportEntry {
   std::string central_path;   // representative path context of the center
 };
 
-/// Per-module timing aggregates for the Table VIII reproduction.
-///
-/// Per-item samples (TimingStats::add) are recorded as before; in addition
-/// each parallel region records its wall-clock on the stage that dominates
-/// it (TimingStats::add_wall), so total()/wall_ms() shows the effective
-/// speedup at the `threads` width the pipeline ran with. The fused
-/// parse+analysis+path-enumeration region books its wall on enhanced_ast.
-///
-/// The parse and the scope/data-flow augmentation are decoupled stages now
-/// that parsing lives in the shared ScriptAnalysis artifact, so they are
-/// sampled separately; parse.mean() + enhanced_ast.mean() equals the old
-/// fused enhanced-AST figure.
-struct StageTimings {
-  TimingStats parse{"parse"};          // js::parse (lex + parse + finalize)
-  TimingStats enhanced_ast{"enhanced_ast"};  // scope + data-flow augmentation
-  TimingStats path_traversal{"path_traversal"};  // path-context enumeration
-  TimingStats pretraining{"pretraining"};  // embedding training (per file)
-  TimingStats embedding{"embedding"};  // per-file embedding at inference
-  TimingStats outlier{"outlier"};      // outlier detection (train once)
-  TimingStats clustering{"clustering"};  // bisecting k-means (train once)
-  TimingStats classifier_train{"classifier_train"};
-  TimingStats classifying{"classifying"};  // classifier predict per file
-  std::size_t threads = 1;      // resolved parallel width used by train()
-
-  /// Zeroes the per-script inference stages (parse, enhanced AST, path
-  /// traversal, embedding, classifying — the train-once stages are kept).
-  /// classify_all calls this on entry so each batch reports only its own
-  /// work and wall time: without the reset, a re-evaluated warm corpus
-  /// stacks fresh per-item samples onto stale wall totals and the apparent
-  /// sum/wall speedup grows past the physical thread count.
-  void reset_inference();
-};
-
+/// The paper's detector as a trainer: train() runs the pipeline, builds the
+/// JSRM artifact in memory and attaches a ModelView over it. Every inference
+/// call (classify, classify_all, featurize, explain, evaluate) forwards to
+/// that view, so a trained JsRevealer and a process mapping its saved
+/// artifact run the same code over the same bytes.
 class JsRevealer final : public detect::Detector {
  public:
   explicit JsRevealer(Config cfg = {});
 
   void train(const dataset::Corpus& corpus) override;
-  int classify(const std::string& source) const override;
+  int classify(const std::string& source) const override {
+    return view_.classify(source);
+  }
   /// Classifies a pre-analyzed script, reusing its memoized AST and
-  /// analyses (the string overload builds a private ScriptAnalysis and
-  /// delegates here, so verdicts are identical).
-  int classify(const analysis::ScriptAnalysis& analysis) const override;
-  std::string name() const override { return "JSRevealer"; }
+  /// analyses (the string overload builds a private ScriptAnalysis with
+  /// config().parse_limits / deobfuscate and delegates here).
+  int classify(const analysis::ScriptAnalysis& analysis) const override {
+    return view_.classify(analysis);
+  }
+  std::string name() const override { return view_.name(); }
 
-  /// Batch prediction: classifies every source, fanning out per script at
-  /// the configured thread width. Verdicts are identical to calling
-  /// classify() per source (featurization and the trained model are
-  /// read-only at inference).
-  std::vector<int> classify_all(const std::vector<std::string>& sources) const;
-  /// Parse-once batch prediction over pre-built analyses.
-  std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const;
+  /// Batch prediction, fanned out per script at the configured thread
+  /// width; verdicts are identical to per-source classify().
+  std::vector<int> classify_all(const std::vector<std::string>& sources) const {
+    return view_.classify_all(sources);
+  }
+  std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const {
+    return view_.classify_all(corpus);
+  }
 
   /// Batched evaluate (same metrics as the base implementation).
   ml::Metrics evaluate(const dataset::Corpus& corpus) const override;
   /// Batched evaluate over a shared AnalyzedCorpus: the detector performs
   /// no parse of its own for scripts whose analysis is already warm.
-  ml::Metrics evaluate(const analysis::AnalyzedCorpus& corpus) const override;
+  ml::Metrics evaluate(const analysis::AnalyzedCorpus& corpus) const override {
+    return ml::compute_metrics(corpus.labels, classify_all(corpus));
+  }
 
   /// Width of featurize() output: surviving benign + malicious clusters,
   /// plus the lint summary tail when cfg.lint_features is on.
@@ -105,23 +82,27 @@ class JsRevealer final : public detect::Detector {
   const Config& config() const { return cfg_; }
 
   /// Top-`n` features by random-forest importance, with their central paths
-  /// (Table VII). Only valid after train() with the random-forest classifier.
+  /// (Table VII). Empty before train().
   std::vector<FeatureReportEntry> feature_report(int n = 5) const;
 
-  /// Classifies `source` with provenance capture on and returns the filled
-  /// record: verdict, frontend outcome, path/vocabulary counts, per-cluster
-  /// attention mass, lint rule hits, and per-stage durations. The JSON shape
-  /// is obs::VerdictProvenance::to_json() (surfaced by `jsr_stats --explain`).
-  obs::VerdictProvenance explain(const std::string& source) const;
+  /// See ModelView::explain; the record names this detector "JSRevealer".
+  obs::VerdictProvenance explain(const std::string& source) const {
+    return view_.explain(source);
+  }
 
-  /// Feature vector for one script (exposed for tests/inspection). Parses
-  /// exactly once even with lint features on: the string overload builds
-  /// one ScriptAnalysis whose AST/scope/data-flow artifacts are shared by
-  /// path extraction and the lint tail.
-  std::vector<double> featurize(const std::string& source) const;
-  std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
+  /// Feature vector for one script (see ModelView::featurize).
+  std::vector<double> featurize(const std::string& source) const {
+    return view_.featurize(source);
+  }
+  std::vector<double> featurize(
+      const analysis::ScriptAnalysis& analysis) const {
+    return view_.featurize(analysis);
+  }
 
-  const StageTimings& timings() const { return timings_; }
+  /// The view every inference call runs through (unloaded before train()).
+  const ModelView& view() const { return view_; }
+
+  const StageTimings& timings() const { return view_.timings(); }
 
   /// SSE curve helper for the Fig. 5 elbow plot: clusters one class's path
   /// vectors (collected exactly as train() does) at each K in [k_lo, k_hi]
@@ -129,49 +110,27 @@ class JsRevealer final : public detect::Detector {
   std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
                                 int k_lo, int k_hi);
 
-  /// Trained-model persistence (vocabulary, embedding model, clusters,
-  /// scaler, and classifier — random-forest classifiers only). save()
-  /// throws std::logic_error if untrained or using another classifier kind;
-  /// load() replaces this detector's state entirely.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
-  void save_file(const std::string& path) const;
-  void load_file(const std::string& path);
-
-  /// Legacy stream emit (v1 without lint features, v2 with): the exact
-  /// pre-v3 byte layout, kept so the tolerant reader and the artifact
-  /// conversion path stay covered by tests and `jsr_model convert`.
-  void save_legacy(std::ostream& out) const;
-
-  /// Serializes the trained model as a JSRM v3 artifact (core/model_format.h):
-  /// page-aligned sections with per-section checksums, mappable read-only by
-  /// core::ModelView. Bytes are deterministic for a deterministic model.
-  /// Same preconditions as save().
+  /// The trained model as a JSRM v3 artifact (core/model_format.h): the
+  /// bytes train() built and the view classifies from, page-aligned with
+  /// per-section checksums and mappable by ModelView::map_file. Bytes are
+  /// deterministic for a deterministic model. Throws std::logic_error
+  /// before train().
   std::vector<std::uint8_t> save_artifact() const;
   void save_artifact_file(const std::string& path) const;
 
  private:
-  struct ScriptFeatures {
-    std::vector<std::int32_t> path_ids;
-  };
-
-  /// Extracts path contexts from a shared analysis (forcing its data-flow
-  /// artifacts as needed); throws std::runtime_error on parse failure.
+  /// Path contexts of a parsed script under cfg_.path (empty when the
+  /// script does not parse).
   std::vector<paths::PathContext> extract(
-      const analysis::ScriptAnalysis& analysis, bool timed) const;
-
-  std::vector<std::int32_t> to_ids(
-      const std::vector<paths::PathContext>& pcs) const;
+      const analysis::ScriptAnalysis& analysis) const;
 
   /// Cluster-membership features (attention weight accumulated per cluster)
-  /// for an embedded script, before scaling. When `prov` is non-null the
-  /// per-cluster mass and the outside-every-cluster path count land in it.
+  /// of an embedded training script, before scaling.
   std::vector<double> features_from_embedding(
-      const ml::EmbeddedScript& emb,
-      obs::VerdictProvenance* prov = nullptr) const;
+      const ml::EmbeddedScript& emb) const;
 
-  /// Shared body of save()/save_legacy().
-  void save_stream(std::ostream& out, bool legacy) const;
+  /// Serializes the trained parameters into JSRM v3 bytes.
+  std::vector<std::uint8_t> build_artifact() const;
 
   Config cfg_;
   lint::Linter linter_;
@@ -180,19 +139,16 @@ class JsRevealer final : public detect::Detector {
   ml::AttentionModel model_;
   ml::Matrix centroids_;                // feature_dim_ x d (both classes)
   // Per-centroid benign-origin bits, packed 64 per word (feature_ops.h
-  // helpers) — the exact words the v3 formats serialize.
+  // helpers) — the exact words the artifact stores.
   std::vector<std::uint64_t> centroid_benign_;
   std::vector<double> centroid_radius_; // RMS radius per centroid
   std::vector<std::string> central_path_;      // Table VII inverse index
-  std::vector<double> centroid_nearest_d_;     // scratch: best dist so far
   std::size_t feature_dim_ = 0;
   std::size_t clusters_removed_ = 0;
   ml::OutlierMethod outlier_method_ = ml::OutlierMethod::kFastAbod;
   ml::MinMaxScaler scaler_;
-  std::unique_ptr<ml::Classifier> classifier_;
-  mutable StageTimings timings_;
-  mutable std::mutex timing_mu_;
-  bool trained_ = false;
+  ml::RandomForest forest_;  // the paper's Table II pick
+  ModelView view_;
 };
 
 }  // namespace jsrev::core

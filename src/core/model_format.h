@@ -14,8 +14,8 @@
 // verify them before trusting any pointer, so a truncated or bit-flipped
 // artifact surfaces as ser::ModelFormatError, never as a wild read.
 //
-// The layout (like the legacy stream format) stores native little-endian
-// scalars; big-endian hosts are out of scope for the mapped path.
+// The layout stores native little-endian scalars; big-endian hosts are out
+// of scope for the mapped path.
 #pragma once
 
 #include <cstdint>

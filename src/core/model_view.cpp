@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "obs/trace.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -39,6 +40,14 @@ std::uint64_t payload_checksum(const std::uint8_t* data,
 }
 
 }  // namespace
+
+void StageTimings::reset_inference() {
+  parse.reset();
+  enhanced_ast.reset();
+  path_traversal.reset();
+  embedding.reset();
+  classifying.reset();
+}
 
 // ---------------------------------------------------------------------------
 // MappedFile
@@ -130,6 +139,8 @@ void ModelView::attach(std::shared_ptr<const void> owner,
           "header", 44, "vocabulary table size is not a power of two");
   require(hdr.vocab_size == 0 || hdr.vocab_table_size > hdr.vocab_size,
           "header", 44, "vocabulary table smaller than the vocabulary");
+  // Fail closed: a forest without trees would score every script benign.
+  require(hdr.n_trees >= 1, "header", 48, "forest has no trees");
 
   // --- section table ---
   const std::uint64_t table_end =
@@ -268,6 +279,9 @@ void ModelView::attach(std::shared_ptr<const void> owner,
       expect_size(fmt::SectionId::kScalerMax, std::uint64_t(n_features) * 8));
 
   // --- forest ---
+  // Every tree must be non-empty, and each internal node's children must
+  // come strictly after it within its own tree (the trainer emits preorder),
+  // so a crafted back edge cannot make predict() loop forever.
   const auto* offsets = reinterpret_cast<const std::uint32_t*>(
       expect_size(fmt::SectionId::kForestOffsets,
                   (std::uint64_t(hdr.n_trees) + 1) * sizeof(std::uint32_t)));
@@ -280,18 +294,22 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   require(offsets[0] == 0, "forest.offsets", 0,
           "prefix table does not start at zero");
   for (std::uint32_t t = 0; t < hdr.n_trees; ++t) {
-    require(offsets[t] <= offsets[t + 1] && offsets[t + 1] <= n_nodes,
-            "forest.offsets", t, "prefix table is not monotone");
+    require(offsets[t] < offsets[t + 1] && offsets[t + 1] <= n_nodes,
+            "forest.offsets", t,
+            "prefix table is not strictly increasing (empty tree)");
     const std::uint32_t tree_size = offsets[t + 1] - offsets[t];
-    for (std::uint32_t i = offsets[t]; i < offsets[t + 1]; ++i) {
-      const ml::ForestNodeRec& n = nodes[i];
+    for (std::uint32_t local = 0; local < tree_size; ++local) {
+      const ml::ForestNodeRec& n = nodes[offsets[t] + local];
       if (n.feature < 0) continue;  // leaf
-      const bool ok =
-          static_cast<std::uint32_t>(n.feature) < n_features &&
-          n.left >= 0 && static_cast<std::uint32_t>(n.left) < tree_size &&
-          n.right >= 0 && static_cast<std::uint32_t>(n.right) < tree_size;
-      require(ok, "forest.nodes", i,
-              "node " + std::to_string(i) + " indexes out of bounds");
+      const auto child_ok = [&](std::int32_t c) {
+        return c > static_cast<std::int64_t>(local) &&
+               static_cast<std::uint32_t>(c) < tree_size;
+      };
+      const bool ok = static_cast<std::uint32_t>(n.feature) < n_features &&
+                      child_ok(n.left) && child_ok(n.right);
+      require(ok, "forest.nodes", offsets[t] + local,
+              "node " + std::to_string(offsets[t] + local) +
+                  " indexes out of bounds or not after itself");
     }
   }
   require(offsets[hdr.n_trees] == n_nodes, "forest.offsets", hdr.n_trees,
@@ -324,12 +342,7 @@ ArtifactInfo ModelView::info() const {
 }
 
 // ---------------------------------------------------------------------------
-// Inference (mirrors JsRevealer's heap path through the shared kernels)
-
-void ModelView::train(const dataset::Corpus&) {
-  throw std::logic_error(
-      "ModelView is immutable; train a JsRevealer and save_artifact()");
-}
+// Inference
 
 std::vector<double> ModelView::featurize(const std::string& source) const {
   return featurize(
@@ -342,9 +355,19 @@ std::vector<double> ModelView::featurize(
     throw std::runtime_error(analysis.parse_error());
   }
   obs::VerdictProvenance* prov = analysis.provenance();
+
+  // Forcing dataflow() here is free when another consumer (lint, a second
+  // detector) already materialized it on the shared artifact; the sampled
+  // cost is then near zero, and the true cost was sampled by whoever forced
+  // it first.
+  Timer t_ast;
   const analysis::DataFlowInfo* flow =
       path_cfg_.use_dataflow ? &analysis.dataflow() : nullptr;
+  const double ast_ms = t_ast.elapsed_ms();
+
+  Timer t_paths;
   const auto pcs = paths::extract_paths(analysis.root(), flow, path_cfg_);
+  const double traverse_ms = t_paths.elapsed_ms();
 
   Timer t_embed;
   std::vector<std::int32_t> ids;
@@ -352,6 +375,16 @@ std::vector<double> ModelView::featurize(
   for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
   ml::EmbeddedScript emb = ml::embed_paths(attn_, ids);
   const double embed_ms = t_embed.elapsed_ms();
+  {
+    std::lock_guard<std::mutex> lock(timing_mu_);
+    // take_parse_cost: the parse is booked by its first claimant only, so a
+    // warm (already-parsed) analysis contributes a zero sample instead of
+    // re-booking work that did not run in this batch.
+    timings_.parse.add(analysis.take_parse_cost());
+    timings_.enhanced_ast.add(ast_ms);
+    timings_.path_traversal.add(traverse_ms);
+    timings_.embedding.add(embed_ms);
+  }
 
   std::vector<double> f = cluster_features(cluster_, emb, prov);
   if (header_.lint_dim != 0) {
@@ -385,6 +418,9 @@ std::vector<double> ModelView::featurize(
     prov->known_path_count = static_cast<std::size_t>(
         std::count_if(ids.begin(), ids.end(),
                       [](std::int32_t id) { return id >= 0; }));
+    prov->stage_ms.parse = analysis.parse_ms();
+    prov->stage_ms.enhanced_ast = ast_ms;
+    prov->stage_ms.path_traversal = traverse_ms;
     prov->stage_ms.embedding = embed_ms;
     prov->train_clusters_removed = header_.clusters_removed;
   }
@@ -398,22 +434,28 @@ int ModelView::classify(const std::string& source) const {
 }
 
 int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
+  obs::Span span("core.classify", "core");
   obs::VerdictProvenance* prov = analysis.provenance();
   if (prov != nullptr) {
-    prov->detector = name();
+    prov->detector = name_;
     prov->source_bytes = analysis.source().size();
     prov->train_clusters_removed = header_.clusters_removed;
   }
   if (!loaded()) {
     if (prov != nullptr) prov->verdict = 1;
-    return record_verdict(1);
+    return verdicts_.record(name_, 1);
   }
   const int verdict = analysis.classify_or_malicious([&]() -> int {
     try {
       const std::vector<double> f = featurize(analysis);
       Timer t;
       const int v = forest_.predict(f.data());
-      if (prov != nullptr) prov->stage_ms.classify = t.elapsed_ms();
+      const double predict_ms = t.elapsed_ms();
+      {
+        std::lock_guard<std::mutex> lock(timing_mu_);
+        timings_.classifying.add(predict_ms);
+      }
+      if (prov != nullptr) prov->stage_ms.classify = predict_ms;
       return v;
     } catch (const std::exception&) {
       return 1;  // degenerate input that survives the parse → same verdict
@@ -427,26 +469,40 @@ int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
       prov->parse_limit_trip = analysis.parse_limit_trip();
     }
   }
-  return record_verdict(verdict);
+  return verdicts_.record(name_, verdict);
 }
 
 std::vector<int> ModelView::classify_all(
     const std::vector<std::string>& sources) const {
-  // Inference is read-only over the mapping, so scripts fan out
-  // independently with verdicts written to disjoint slots.
-  std::vector<int> verdicts(sources.size(), 1);
-  parallel_for_threads(threads_, sources.size(), [&](std::size_t i) {
-    verdicts[i] = classify(sources[i]);
-  });
-  return verdicts;
+  return classify_batch(sources.size(),
+                        [&](std::size_t i) { return classify(sources[i]); });
 }
 
 std::vector<int> ModelView::classify_all(
     const analysis::AnalyzedCorpus& corpus) const {
-  std::vector<int> verdicts(corpus.size(), 1);
-  parallel_for_threads(threads_, corpus.size(), [&](std::size_t i) {
-    verdicts[i] = classify(*corpus.scripts[i]);
+  return classify_batch(corpus.size(), [&](std::size_t i) {
+    return classify(*corpus.scripts[i]);
   });
+}
+
+std::vector<int> ModelView::classify_batch(
+    std::size_t n, const std::function<int(std::size_t)>& classify_one) const {
+  // Inference is read-only over the mapping (the timing sink is internally
+  // synchronized), so scripts fan out independently with verdicts written
+  // to disjoint slots.
+  std::vector<int> verdicts(n, 1);
+  obs::Span span("core.classify_all", "core");
+  {
+    std::lock_guard<std::mutex> lock(timing_mu_);
+    timings_.reset_inference();  // this batch's stages only (see StageTimings)
+  }
+  Timer t_wall;
+  parallel_for_threads(threads_, n,
+                       [&](std::size_t i) { verdicts[i] = classify_one(i); });
+  {
+    std::lock_guard<std::mutex> lock(timing_mu_);
+    timings_.classifying.add_wall(t_wall.elapsed_ms());
+  }
   return verdicts;
 }
 

@@ -1,22 +1,18 @@
 // Immutable, zero-copy inference over a mapped JSRM model artifact.
 //
-// ModelView is the read-only half of the trainer/view split: JsRevealer
-// trains and writes the artifact (core/artifact_io.cpp); ModelView maps it
-// and classifies straight out of the mapped bytes. No parameter is parsed
-// into owned storage — the vocabulary probe table, attention matrices,
+// ModelView is the read-only half of the trainer/view split and the only
+// inference path: JsRevealer trains and builds the artifact
+// (core/artifact_io.cpp), then classifies through a ModelView over those
+// bytes; serving processes map the same bytes from a file. No parameter is
+// parsed into owned storage — the vocabulary probe table, attention matrices,
 // cluster geometry, scaler bounds, and forest node pool are all borrowed
 // pointers into the mapping, so N detector processes sharing one artifact
 // share one page cache copy, and opening a model costs validation (header,
 // section table, checksums, index bounds) instead of deserialization.
 //
-// Verdicts are bit-identical to the JsRevealer that wrote the artifact: the
-// view calls the same raw-pointer kernels (ml/model_view_ops.h,
-// core/feature_ops.h) the heap detector delegates to, over the same values.
-//
 // Aliasing contract: a ModelView keeps its backing storage (the mapped file
-// or the from_buffer copy) alive through a shared_ptr, so copies of the view
-// may outlive the object they were copied from; the artifact bytes must not
-// be mutated externally while any view is live (the file is mapped
+// or the from_buffer copy) alive through a shared_ptr; the artifact bytes
+// must not be mutated externally while the view is live (the file is mapped
 // MAP_SHARED — treat a published artifact as immutable, write a new file
 // and swap paths to update).
 //
@@ -26,7 +22,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +37,41 @@
 #include "ml/model_view_ops.h"
 #include "paths/path_extraction.h"
 #include "paths/vocab.h"
+#include "util/timer.h"
 
 namespace jsrev::core {
+
+class JsRevealer;
+
+/// Per-module timing aggregates for the Table VIII reproduction.
+///
+/// Inference records per-script samples (TimingStats::add); each parallel
+/// region also records its wall-clock on the stage that dominates it
+/// (TimingStats::add_wall), so total()/wall_ms() shows the effective
+/// speedup at the width the pipeline ran with. Training books the
+/// train-once stages plus the walls of its extraction region (on
+/// enhanced_ast) and featurization region (on embedding). parse.mean() +
+/// enhanced_ast.mean() equals the paper's fused enhanced-AST figure.
+struct StageTimings {
+  TimingStats parse{"parse"};          // js::parse (lex + parse + finalize)
+  TimingStats enhanced_ast{"enhanced_ast"};  // scope + data-flow augmentation
+  TimingStats path_traversal{"path_traversal"};  // path-context enumeration
+  TimingStats pretraining{"pretraining"};  // embedding training (per file)
+  TimingStats embedding{"embedding"};  // per-file embedding at inference
+  TimingStats outlier{"outlier"};      // outlier detection (train once)
+  TimingStats clustering{"clustering"};  // bisecting k-means (train once)
+  TimingStats classifier_train{"classifier_train"};
+  TimingStats classifying{"classifying"};  // classifier predict per file
+  std::size_t threads = 1;      // resolved parallel width used by train()
+
+  /// Zeroes the per-script inference stages (parse, enhanced AST, path
+  /// traversal, embedding, classifying — the train-once stages are kept).
+  /// classify_all calls this on entry so each batch reports only its own
+  /// work and wall time: without the reset, a re-evaluated warm corpus
+  /// stacks fresh per-item samples onto stale wall totals and the apparent
+  /// sum/wall speedup grows past the physical thread count.
+  void reset_inference();
+};
 
 /// A read-only, shared, page-cache-backed mapping of a whole file.
 class MappedFile {
@@ -73,7 +104,7 @@ struct ArtifactInfo {
   std::vector<ArtifactSectionInfo> sections;
 };
 
-class ModelView final : public detect::Detector {
+class ModelView {
  public:
   ModelView() = default;
 
@@ -90,24 +121,28 @@ class ModelView final : public detect::Detector {
 
   bool loaded() const { return data_ != nullptr; }
 
-  /// Immutable: training is the heap detector's job.
-  void train(const dataset::Corpus& corpus) override;
-
-  int classify(const std::string& source) const override;
-  int classify(const analysis::ScriptAnalysis& analysis) const override;
-  std::string name() const override { return "JSRevealer[mapped]"; }
+  /// Classifies one script: 1 = malicious, 0 = benign. Unparseable input
+  /// and an unloaded view both classify malicious (fail closed). Every
+  /// verdict is booked once in detector.verdicts{detector=name()}.
+  int classify(const std::string& source) const;
+  int classify(const analysis::ScriptAnalysis& analysis) const;
+  const std::string& name() const { return name_; }
 
   /// Batch prediction, fanned out at `threads()` width; verdicts identical
   /// to per-source classify() at any width.
   std::vector<int> classify_all(const std::vector<std::string>& sources) const;
   std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const;
 
-  /// Provenance-capturing classification (same record JsRevealer::explain
-  /// fills, modulo the detector name and stage timings).
+  /// Classifies `source` with provenance capture on and returns the filled
+  /// record: verdict, frontend outcome, path/vocabulary counts, per-cluster
+  /// attention mass, lint rule hits, and per-stage durations. The JSON shape
+  /// is obs::VerdictProvenance::to_json() (surfaced by `jsr_stats --explain`).
   obs::VerdictProvenance explain(const std::string& source) const;
 
-  /// Feature vector for one script — bit-identical to the writer's
-  /// JsRevealer::featurize.
+  /// Scaled feature vector for one script: surviving cluster features, then
+  /// the lint tail when the model has one. Parses exactly once: path
+  /// extraction and the lint tail share the analysis' memoized artifacts.
+  /// Throws std::runtime_error when the script does not parse.
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
@@ -140,11 +175,23 @@ class ModelView final : public detect::Detector {
             central_offsets_[f + 1] - central_offsets_[f]};
   }
 
+  /// Per-stage timings of this view's inference (and, for a trainer's view,
+  /// of its training run).
+  const StageTimings& timings() const { return timings_; }
+
  private:
+  // The trainer attaches its own view, names it, mirrors its parse limits,
+  // path cap and width into it, and books its training stages on its
+  // timings.
+  friend class JsRevealer;
+
   void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,
               std::size_t size, bool verify_checksums);
   const std::uint8_t* section_payload(fmt::SectionId id,
                                       std::size_t* size_out) const;
+  /// Shared body of both classify_all overloads.
+  std::vector<int> classify_batch(
+      std::size_t n, const std::function<int(std::size_t)>& classify_one) const;
 
   // Backing storage: the mapped file or the from_buffer copy. shared_ptr so
   // view copies keep the bytes alive (aliasing contract above).
@@ -171,7 +218,11 @@ class ModelView final : public detect::Detector {
   bool deobfuscate_ = false;
   std::size_t threads_ = 0;
 
+  std::string name_ = "JSRevealer[mapped]";
   lint::Linter linter_;
+  detect::VerdictCounter verdicts_;
+  mutable StageTimings timings_;
+  mutable std::mutex timing_mu_;
 };
 
 }  // namespace jsrev::core

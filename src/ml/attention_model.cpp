@@ -194,9 +194,8 @@ EmbeddedScript AttentionModel::embed(
   static obs::Counter* embeds =
       obs::metrics().counter("ml.attention.embed_calls");
   embeds->add();
-  // Inference goes through the shared raw-pointer kernel — the same code a
-  // mapped ModelView runs — so heap and artifact embeddings are
-  // bit-identical by construction.
+  // The shared raw-pointer kernel ModelView runs at inference, so training
+  // rows embed exactly as the artifact later does.
   AttentionParams p;
   p.w = w_.data().data();
   p.attn = attn_.data();

@@ -147,7 +147,7 @@ Clustering finalize(const Matrix& points, const Matrix& centroids,
 }  // namespace
 
 int nearest_centroid(const Matrix& centroids, const double* point) {
-  // Shared with the mmap-backed ModelView so heap and mapped inference run
+  // Shared with ModelView's cluster assignment: training and inference run
   // the identical scan.
   return nearest_centroid_raw(centroids.data().data(), centroids.rows(),
                               centroids.cols(), point);

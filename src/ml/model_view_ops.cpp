@@ -58,11 +58,9 @@ EmbeddedScript embed_paths(const AttentionParams& p,
 }
 
 double ForestView::predict_proba(const double* row) const {
-  if (n_trees == 0) return 0.0;
   double s = 0.0;
   for (std::uint32_t t = 0; t < n_trees; ++t) {
     const ForestNodeRec* base = nodes + offsets[t];
-    if (offsets[t + 1] == offsets[t]) continue;  // empty tree contributes 0
     const ForestNodeRec* cur = base;
     while (cur->feature >= 0) {
       cur = base + (row[static_cast<std::size_t>(cur->feature)] <=

@@ -1,13 +1,11 @@
-// Raw-pointer inference kernels shared by the heap-trained models and the
-// mmap-backed ModelView.
+// Raw-pointer inference kernels shared by the trainer and ModelView.
 //
 // Every parameter block here is a borrowed view over flat little-endian
 // arrays — either the training-time std::vector storage or bytes mapped
-// straight from a JSRM model artifact. The heap classes (AttentionModel,
-// RandomForest, MinMaxScaler) delegate their inference paths to these
-// kernels over their own storage, so a mapped model is bit-identical to the
-// in-memory one by construction: both run the same floating-point
-// operations in the same order on the same values.
+// straight from a JSRM model artifact. The training classes
+// (AttentionModel, MinMaxScaler) run these kernels over their own storage
+// when they build the forest's training rows, so those rows are exactly
+// what ModelView computes from the artifact for the same scripts.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +57,8 @@ static_assert(sizeof(ForestNodeRec) == 32, "node record must be packed");
 
 /// Borrowed view of a flattened forest: one preorder node pool plus a
 /// prefix-offset table (tree t owns nodes [offsets[t], offsets[t+1])).
+/// Requires at least one tree, no empty tree, and every child index after
+/// its parent — what export_flat writes and ModelView's attach enforces.
 struct ForestView {
   const ForestNodeRec* nodes = nullptr;
   const std::uint32_t* offsets = nullptr;  // n_trees + 1 entries

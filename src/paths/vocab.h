@@ -10,7 +10,8 @@
 // flat buffers are what the JSRM model artifact serializes verbatim, so a
 // mapped model performs vocabulary lookups zero-copy through PathVocabView —
 // the borrowed-pointer form of the table that PathVocab itself also uses
-// over its own storage (one lookup implementation for heap and mmap).
+// over its own storage (one lookup implementation for training and
+// inference).
 //
 // The per-entry segment lengths double as the inverse index that powers the
 // Table VII interpretability report (cluster center → the human-readable
@@ -19,7 +20,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -168,11 +168,6 @@ class PathVocab {
   const std::string& blob() const { return blob_; }
   const std::vector<VocabEntryRec>& entries() const { return entries_; }
   const std::vector<std::uint32_t>& table() const { return table_; }
-
-  /// Vocabulary persistence (entries in id order; the legacy stream format,
-  /// unchanged from v1 models — the probe table is rebuilt on load).
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
  private:
   void insert_into_table(std::uint32_t id);

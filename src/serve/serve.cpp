@@ -11,7 +11,6 @@
 #include "analysis/script_analysis.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "util/serialize.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/version.h"
@@ -21,65 +20,13 @@ namespace jsrev::serve {
 // ---------------------------------------------------------------------------
 // ServeModel
 
-ServeModel::ServeModel(const std::string& path) {
-  try {
-    auto view = std::make_unique<core::ModelView>();
-    view->map_file(path);
-    view_ = std::move(view);
-    return;
-  } catch (const ser::ModelFormatError&) {
-    // Not a v3 artifact — fall through to the stream loader.
-  }
-  try {
-    auto heap = std::make_unique<core::JsRevealer>();
-    heap->load_file(path);
-    heap_ = std::move(heap);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("cannot open model '" + path +
-                             "' as artifact or stream: " + e.what());
-  }
-}
-
-std::string ServeModel::name() const {
-  return view_ != nullptr ? view_->name() : heap_->name();
-}
-
-int ServeModel::classify(const analysis::ScriptAnalysis& analysis) const {
-  return view_ != nullptr ? view_->classify(analysis)
-                          : heap_->classify(analysis);
-}
-
-js::ParseLimits ServeModel::parse_limits() const {
-  return view_ != nullptr ? view_->parse_limits()
-                          : heap_->config().parse_limits;
-}
-
-bool ServeModel::deobfuscate() const {
-  return view_ != nullptr ? view_->deobfuscate() : heap_->config().deobfuscate;
-}
+ServeModel::ServeModel(const std::string& path) { view_.map_file(path); }
 
 ServeOptions ServeModel::options() const {
   ServeOptions opts;
   opts.limits = parse_limits();
   opts.deobfuscate = deobfuscate();
   return opts;
-}
-
-std::string ServeModel::format() const {
-  return view_ != nullptr ? "jsrm-mapped" : "stream";
-}
-
-std::uint32_t ServeModel::format_version() const {
-  return view_ != nullptr ? view_->info().header.version : 0;
-}
-
-std::size_t ServeModel::lint_dim() const {
-  return view_ != nullptr ? view_->info().header.lint_dim
-                          : heap_->lint_feature_count();
-}
-
-std::size_t ServeModel::feature_count() const {
-  return view_ != nullptr ? view_->feature_count() : heap_->feature_count();
 }
 
 void register_build_info(const ServeModel& model,

@@ -3,12 +3,10 @@
 // Three pieces, deliberately free of socket code so tests and benches drive
 // them in-process (the fd plumbing lives in serve/server.h):
 //
-//  * ServeModel — one serving handle over the two detector flavors: it opens
-//    a path as a mapped JSRM v3 artifact (core::ModelView, the zero-copy
-//    path) and falls back to the legacy stream loader (core::JsRevealer)
-//    when the file is not an artifact. Classification and provenance go
-//    through whichever half loaded; parse limits and the deobfuscate flag
-//    are mirrored out so callers build bit-identical ScriptAnalysis inputs.
+//  * ServeModel — the serving handle: it maps a JSRM v3 artifact read-only
+//    (core::ModelView, the zero-copy path) and classifies through it; parse
+//    limits and the deobfuscate flag are mirrored out so callers build
+//    bit-identical ScriptAnalysis inputs.
 //
 //  * Batcher — the CASCADE-shaped serving loop: producers enqueue requests,
 //    one worker coalesces whatever is pending (capped at max_batch) and runs
@@ -42,7 +40,6 @@
 #include <string>
 #include <thread>
 
-#include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "js/parse_limits.h"
 #include "obs/metrics.h"
@@ -68,47 +65,43 @@ struct ServeOptions {
   double slow_ms = 0.0;
 };
 
-/// One serving handle over a mapped artifact or a legacy stream model.
+/// One serving handle over a mapped model artifact.
 class ServeModel {
  public:
-  /// Opens `path`: first as a JSRM v3 artifact (mapped read-only,
-  /// zero-copy), then — when that raises ser::ModelFormatError — as a
-  /// v1/v2/v3 stream model. Throws std::runtime_error when neither loads.
+  /// Maps `path` as a JSRM v3 artifact (read-only, zero-copy). Throws
+  /// ser::ModelFormatError on malformed content and std::runtime_error when
+  /// the file cannot be mapped.
   explicit ServeModel(const std::string& path);
 
-  /// True when the artifact path loaded (zero-copy serving).
-  bool mapped() const { return view_ != nullptr; }
-  std::string name() const;
+  std::string name() const { return view_.name(); }
 
-  /// Classifies a pre-built analysis; bit-identical to the underlying
-  /// detector's classify(source) when the analysis was built with
+  /// Classifies a pre-built analysis; bit-identical to the view's
+  /// classify(source) when the analysis was built with
   /// parse_limits()/deobfuscate().
-  int classify(const analysis::ScriptAnalysis& analysis) const;
+  int classify(const analysis::ScriptAnalysis& analysis) const {
+    return view_.classify(analysis);
+  }
 
   /// The model's frontend bounds / normalization flag, for building
   /// matching analyses.
-  js::ParseLimits parse_limits() const;
-  bool deobfuscate() const;
+  js::ParseLimits parse_limits() const { return view_.parse_limits(); }
+  bool deobfuscate() const { return view_.deobfuscate(); }
 
   /// ServeOptions pre-filled from this model's configuration.
   ServeOptions options() const;
 
-  /// Serving format tag: "jsrm-mapped" for the zero-copy artifact path,
-  /// "stream" for the legacy loader (telemetry label, /statusz field).
-  std::string format() const;
-  /// Artifact format version (mapped path); 0 for stream models.
-  std::uint32_t format_version() const;
+  /// Serving format tag (telemetry label, /statusz field).
+  std::string format() const { return "jsrm-mapped"; }
+  std::uint32_t format_version() const { return view_.info().header.version; }
   /// Width of the lint summary tail in the feature vector (0 = lint off).
-  std::size_t lint_dim() const;
-  std::size_t feature_count() const;
+  std::size_t lint_dim() const { return view_.info().header.lint_dim; }
 
-  /// The mapped artifact behind this model; nullptr on the stream path
-  /// (callers wanting section tables / checksums, e.g. /statusz).
-  const core::ModelView* view() const { return view_.get(); }
+  /// The mapped artifact behind this model (section tables / checksums,
+  /// e.g. for /statusz).
+  const core::ModelView& view() const { return view_; }
 
  private:
-  std::unique_ptr<core::ModelView> view_;
-  std::unique_ptr<core::JsRevealer> heap_;
+  core::ModelView view_;
 };
 
 /// Registers the jsr_build_info / jsr_model_info identity gauges (value 1,

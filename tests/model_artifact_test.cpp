@@ -1,21 +1,24 @@
 // Tests for the JSRM v3 model artifact: the trainer must emit byte-identical
-// artifacts at any parallel width, a mapped ModelView must reproduce the
-// writing detector bit-for-bit (verdicts and feature vectors) across the
-// whole obfuscated evaluation grid, legacy stream models must convert to the
-// same bytes, and malformed artifacts must fail with ser::ModelFormatError —
-// never a crash or a silently different verdict.
+// artifacts at any parallel width, a view of the mapped file must classify
+// like one over the in-memory bytes at every batch width, and malformed
+// artifacts — truncated, bit-flipped, or crafted and re-checksummed — must
+// fail with ser::ModelFormatError, never a crash, a hang or a silently
+// different verdict. (Verdicts and feature bytes themselves are pinned by
+// fingerprint_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
 #include "obfuscators/obfuscator.h"
+#include "util/hash.h"
 #include "util/serialize.h"
 
 namespace jsrev {
@@ -94,21 +97,6 @@ TEST_F(ArtifactFixture, ArtifactBytesIdenticalAcrossThreadWidths) {
   }
 }
 
-TEST_F(ArtifactFixture, SaveArtifactIsDeterministic) {
-  EXPECT_EQ(trainer_->save_artifact(), *artifact_);
-}
-
-TEST_F(ArtifactFixture, VerdictsBitIdenticalOverObfuscatedGrid) {
-  const std::vector<std::string> scripts = evaluation_scripts();
-  ASSERT_GE(scripts.size(), 1000u);
-  const std::vector<int> heap = trainer_->classify_all(scripts);
-  const std::vector<int> mapped = view_->classify_all(scripts);
-  ASSERT_EQ(heap.size(), mapped.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    ASSERT_EQ(heap[i], mapped[i]) << "script " << i;
-  }
-}
-
 TEST_F(ArtifactFixture, ViewBatchMatchesSerialAtEveryWidth) {
   std::vector<std::string> scripts = evaluation_scripts();
   scripts.resize(60);
@@ -121,14 +109,6 @@ TEST_F(ArtifactFixture, ViewBatchMatchesSerialAtEveryWidth) {
     view.from_buffer(*artifact_);
     view.set_threads(threads);
     EXPECT_EQ(view.classify_all(scripts), serial) << "threads=" << threads;
-  }
-}
-
-TEST_F(ArtifactFixture, FeatureVectorsBitIdentical) {
-  const std::vector<std::string> scripts = evaluation_scripts();
-  for (std::size_t i = 0; i < scripts.size(); i += 37) {
-    EXPECT_EQ(trainer_->featurize(scripts[i]), view_->featurize(scripts[i]))
-        << "script " << i;
   }
 }
 
@@ -239,31 +219,109 @@ TEST_F(ArtifactFixture, FormatErrorCarriesSectionAndOffset) {
   }
 }
 
-TEST_F(ArtifactFixture, LegacyStreamConvertsToIdenticalArtifact) {
-  std::stringstream legacy;
-  trainer_->save_legacy(legacy);
-  core::JsRevealer restored(core::Config{});
-  restored.load(legacy);
-  EXPECT_EQ(restored.save_artifact(), *artifact_);
+/// Typed reads and writes at byte offsets of an artifact, for crafting
+/// structurally malformed artifacts whose checksums still match.
+struct ArtifactEditor {
+  std::vector<std::uint8_t> bytes;
+
+  template <typename T>
+  T get(std::size_t at) const {
+    T v;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  }
+  template <typename T>
+  void set(std::size_t at, const T& v) {
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+  }
+  /// Byte offset of section `id`'s record in the section table.
+  std::size_t rec_at(core::fmt::SectionId id) const {
+    std::size_t at = sizeof(core::fmt::ArtifactHeader);
+    const auto want = static_cast<std::uint32_t>(id);
+    while (get<core::fmt::SectionRec>(at).id != want) {
+      at += sizeof(core::fmt::SectionRec);
+    }
+    return at;
+  }
+  core::fmt::SectionRec rec(core::fmt::SectionId id) const {
+    return get<core::fmt::SectionRec>(rec_at(id));
+  }
+  /// Sets a section's payload size and recomputes its checksum.
+  void reseal(core::fmt::SectionId id, std::uint64_t size) {
+    core::fmt::SectionRec r = rec(id);
+    r.size = size;
+    r.checksum = fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(bytes.data() + r.offset), size));
+    set(rec_at(id), r);
+  }
+};
+
+/// A crafted artifact must be rejected under both verified and trusted open.
+void expect_rejected(const std::vector<std::uint8_t>& bytes, const char* what) {
+  for (const bool verify : {true, false}) {
+    core::ModelView view;
+    EXPECT_THROW(view.from_buffer(bytes, verify), ser::ModelFormatError)
+        << what << " verify=" << verify;
+    EXPECT_FALSE(view.loaded()) << what;
+  }
 }
 
-TEST_F(ArtifactFixture, V3StreamConvertsToIdenticalArtifact) {
-  std::stringstream stream;
-  trainer_->save(stream);
-  core::JsRevealer restored(core::Config{});
-  restored.load(stream);
-  EXPECT_EQ(restored.save_artifact(), *artifact_);
+using core::fmt::SectionId;
+
+TEST_F(ArtifactFixture, ZeroTreeForestIsRejected) {
+  // A consistent zero-tree forest: one-entry offset table, empty node pool.
+  // Accepting it would score every script benign.
+  ArtifactEditor e{*artifact_};
+  auto h = e.get<core::fmt::ArtifactHeader>(0);
+  h.n_trees = 0;
+  e.set(0, h);
+  e.reseal(SectionId::kForestOffsets, sizeof(std::uint32_t));
+  e.reseal(SectionId::kForestNodes, 0);
+  expect_rejected(e.bytes, "zero trees");
+}
+
+TEST_F(ArtifactFixture, EmptyTreeIsRejected) {
+  ArtifactEditor e{*artifact_};
+  const std::size_t offsets = e.rec(SectionId::kForestOffsets).offset;
+  e.set(offsets + 4, e.get<std::uint32_t>(offsets));  // tree 0 owns no nodes
+  e.reseal(SectionId::kForestOffsets, e.rec(SectionId::kForestOffsets).size);
+  expect_rejected(e.bytes, "empty tree");
+}
+
+TEST_F(ArtifactFixture, ChildIndexLoopIsRejected) {
+  // The root of tree 0 becomes an internal node whose children are itself:
+  // accepted, classify() would never return.
+  ArtifactEditor e{*artifact_};
+  const core::fmt::SectionRec nodes = e.rec(SectionId::kForestNodes);
+  auto root = e.get<ml::ForestNodeRec>(nodes.offset);
+  root.feature = 0;
+  root.left = 0;
+  root.right = 0;
+  e.set(nodes.offset, root);
+  e.reseal(SectionId::kForestNodes, nodes.size);
+  expect_rejected(e.bytes, "self-loop");
+
+  // A back edge deeper in the tree: the last internal node of tree 0
+  // points its right child at the root.
+  ArtifactEditor back{*artifact_};
+  const std::size_t offsets = back.rec(SectionId::kForestOffsets).offset;
+  for (std::uint32_t i = back.get<std::uint32_t>(offsets + 4);
+       i-- > back.get<std::uint32_t>(offsets);) {
+    const std::size_t at = nodes.offset + i * sizeof(ml::ForestNodeRec);
+    auto n = back.get<ml::ForestNodeRec>(at);
+    if (n.feature < 0) continue;
+    n.right = 0;
+    back.set(at, n);
+    break;
+  }
+  back.reseal(SectionId::kForestNodes, nodes.size);
+  expect_rejected(back.bytes, "back edge");
 }
 
 TEST(ModelViewApi, UnloadedViewIsSafe) {
   core::ModelView view;
   EXPECT_FALSE(view.loaded());
   EXPECT_EQ(view.classify("var x = 1;"), 1);  // fail-closed convention
-}
-
-TEST(ModelViewApi, TrainThrowsLogicError) {
-  core::ModelView view;
-  EXPECT_THROW(view.train(train_corpus()), std::logic_error);
 }
 
 TEST(ModelViewApi, UntrainedSaveArtifactThrows) {

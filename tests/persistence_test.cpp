@@ -1,16 +1,15 @@
-// Tests for trained-model persistence: save → load must reproduce the
-// detector's behaviour bit-for-bit on every input, and malformed streams
-// must fail with structured errors.
+// Tests for trained-model persistence: a detector's artifact written to a
+// file and mapped back must reproduce the detector's behaviour bit-for-bit
+// on every input, and the flattened forest the artifact stores must score
+// exactly like the trained forest. (Malformed artifacts are covered by
+// model_artifact_test.)
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/jsrevealer.h"
+#include "core/model_view.h"
 #include "dataset/generator.h"
 #include "ml/decision_tree.h"
-#include "ml/scaler.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 
 namespace jsrev {
 namespace {
@@ -32,23 +31,18 @@ class PersistenceFixture : public ::testing::Test {
     original_ = new core::JsRevealer(cfg);
     original_->train(split_->train);
 
-    std::stringstream buffer;
-    original_->save(buffer);
-    blob_ = new std::string(buffer.str());
-
-    restored_ = new core::JsRevealer(core::Config{});
-    std::istringstream in(*blob_);
-    restored_->load(in);
+    const std::string path = "/tmp/jsrev_persistence_test.jsrm";
+    original_->save_artifact_file(path);
+    restored_ = new core::ModelView();
+    restored_->map_file(path);
   }
 
   static void TearDownTestSuite() {
     delete restored_;
-    delete blob_;
     delete original_;
     delete split_;
     delete corpus_;
     restored_ = nullptr;
-    blob_ = nullptr;
     original_ = nullptr;
     split_ = nullptr;
     corpus_ = nullptr;
@@ -57,15 +51,13 @@ class PersistenceFixture : public ::testing::Test {
   static dataset::Corpus* corpus_;
   static dataset::Split* split_;
   static core::JsRevealer* original_;
-  static std::string* blob_;
-  static core::JsRevealer* restored_;
+  static core::ModelView* restored_;
 };
 
 dataset::Corpus* PersistenceFixture::corpus_ = nullptr;
 dataset::Split* PersistenceFixture::split_ = nullptr;
 core::JsRevealer* PersistenceFixture::original_ = nullptr;
-std::string* PersistenceFixture::blob_ = nullptr;
-core::JsRevealer* PersistenceFixture::restored_ = nullptr;
+core::ModelView* PersistenceFixture::restored_ = nullptr;
 
 TEST_F(PersistenceFixture, VerdictsIdenticalOnTestSet) {
   for (const auto& s : split_->test.samples) {
@@ -82,98 +74,23 @@ TEST_F(PersistenceFixture, FeatureVectorsIdentical) {
 
 TEST_F(PersistenceFixture, MetadataPreserved) {
   EXPECT_EQ(restored_->feature_count(), original_->feature_count());
-  EXPECT_EQ(restored_->clusters_removed(), original_->clusters_removed());
+  EXPECT_EQ(restored_->info().header.clusters_removed,
+            original_->clusters_removed());
 }
 
-TEST_F(PersistenceFixture, FeatureReportPreserved) {
-  const auto a = original_->feature_report(5);
-  const auto b = restored_->feature_report(5);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].feature_index, b[i].feature_index);
-    EXPECT_DOUBLE_EQ(a[i].importance, b[i].importance);
-    EXPECT_EQ(a[i].central_path, b[i].central_path);
+TEST_F(PersistenceFixture, CentralPathsPreserved) {
+  const auto report = original_->feature_report(5);
+  ASSERT_FALSE(report.empty());
+  for (const auto& entry : report) {
+    const auto f = static_cast<std::size_t>(entry.feature_index);
+    if (f >= original_->feature_count() - original_->lint_feature_count()) {
+      continue;  // lint features have no central path
+    }
+    EXPECT_EQ(restored_->central_path(f), entry.central_path);
   }
 }
 
-TEST_F(PersistenceFixture, SaveIsDeterministic) {
-  std::stringstream again;
-  original_->save(again);
-  EXPECT_EQ(again.str(), *blob_);
-}
-
-TEST_F(PersistenceFixture, RoundTripThroughFile) {
-  const std::string path = "/tmp/jsrev_model_test.bin";
-  original_->save_file(path);
-  core::JsRevealer from_file(core::Config{});
-  from_file.load_file(path);
-  EXPECT_EQ(from_file.feature_count(), original_->feature_count());
-  EXPECT_EQ(from_file.classify(split_->test.samples[0].source),
-            original_->classify(split_->test.samples[0].source));
-}
-
-TEST_F(PersistenceFixture, TruncatedStreamThrows) {
-  for (const std::size_t cut : {std::size_t(3), blob_->size() / 2,
-                                blob_->size() - 5}) {
-    std::istringstream in(blob_->substr(0, cut));
-    core::JsRevealer det(core::Config{});
-    EXPECT_THROW(det.load(in), std::exception) << "cut=" << cut;
-  }
-}
-
-TEST_F(PersistenceFixture, CorruptedMagicThrows) {
-  std::string bad = *blob_;
-  bad[0] = 'X';
-  std::istringstream in(bad);
-  core::JsRevealer det(core::Config{});
-  EXPECT_THROW(det.load(in), ser::FormatError);
-}
-
-TEST(Persistence, UntrainedSaveThrows) {
-  core::JsRevealer det(core::Config{});
-  std::stringstream out;
-  EXPECT_THROW(det.save(out), std::logic_error);
-}
-
-TEST(Persistence, NonForestClassifierSaveThrows) {
-  dataset::GeneratorConfig gc;
-  gc.seed = 33;
-  gc.benign_count = 30;
-  gc.malicious_count = 30;
-  const dataset::Corpus corpus = dataset::generate_corpus(gc);
-  core::Config cfg;
-  cfg.classifier = ml::ClassifierKind::kSvm;
-  cfg.embed_epochs = 3;
-  cfg.cluster_sample_per_class = 200;
-  core::JsRevealer det(cfg);
-  det.train(corpus);
-  std::stringstream out;
-  EXPECT_THROW(det.save(out), std::logic_error);
-}
-
-TEST(Persistence, ScalerRoundTrip) {
-  ml::Matrix x(3, 2);
-  x(0, 0) = -1;
-  x(1, 0) = 0;
-  x(2, 0) = 3;
-  x(0, 1) = 10;
-  x(1, 1) = 20;
-  x(2, 1) = 15;
-  ml::MinMaxScaler scaler;
-  scaler.fit(x);
-  std::stringstream buf;
-  scaler.save(buf);
-  ml::MinMaxScaler restored;
-  restored.load(buf);
-  double row[2] = {1.5, 12.0};
-  double row2[2] = {1.5, 12.0};
-  scaler.transform_row(row);
-  restored.transform_row(row2);
-  EXPECT_DOUBLE_EQ(row[0], row2[0]);
-  EXPECT_DOUBLE_EQ(row[1], row2[1]);
-}
-
-TEST(Persistence, ForestRoundTrip) {
+TEST(Persistence, FlatForestScoresLikeTrainedForest) {
   Rng rng(34);
   ml::Matrix x(60, 3);
   std::vector<int> y(60);
@@ -185,16 +102,18 @@ TEST(Persistence, ForestRoundTrip) {
   }
   ml::RandomForest forest;
   forest.fit(x, y);
-  std::stringstream buf;
-  forest.save(buf);
-  ml::RandomForest restored;
-  restored.load(buf);
+  std::vector<ml::ForestNodeRec> nodes;
+  std::vector<std::uint32_t> offsets;
+  forest.export_flat(&nodes, &offsets);
+  ml::ForestView flat;
+  flat.nodes = nodes.data();
+  flat.offsets = offsets.data();
+  flat.n_trees = static_cast<std::uint32_t>(forest.tree_count());
+  flat.n_features = 3;
   for (std::size_t i = 0; i < 60; ++i) {
-    EXPECT_EQ(forest.predict(x.row(i)), restored.predict(x.row(i)));
-    EXPECT_DOUBLE_EQ(forest.predict_proba(x.row(i)),
-                     restored.predict_proba(x.row(i)));
+    EXPECT_EQ(forest.predict(x.row(i)), flat.predict(x.row(i)));
+    EXPECT_EQ(forest.predict_proba(x.row(i)), flat.predict_proba(x.row(i)));
   }
-  EXPECT_EQ(forest.feature_importances(), restored.feature_importances());
 }
 
 }  // namespace

@@ -193,7 +193,7 @@ std::vector<std::string>* ServeFixture::scripts_ = nullptr;
 std::vector<int>* ServeFixture::library_verdicts_ = nullptr;
 
 TEST_F(ServeFixture, ModelOpensAsMappedArtifact) {
-  EXPECT_TRUE(model_->mapped());
+  EXPECT_EQ(model_->format(), "jsrm-mapped");
   EXPECT_EQ(model_->name(), "JSRevealer[mapped]");
 }
 

@@ -8,11 +8,10 @@
 //   jsr_serve --model M.jsrm --stdio [--threads N] [--max-batch N]
 //             [--max-queue N] [--deob|--no-deob]
 //
-// The model opens as a mapped JSRM v3 artifact when possible (zero-copy;
-// `jsr_model train --out` writes one) and falls back to the stream loader,
-// so every model file the repo can produce is servable. Parse limits and
-// the deobfuscate flag default to the model's own configuration; --deob /
-// --no-deob override normalization.
+// The model is a JSRM v3 artifact (`jsr_model train --out` writes one),
+// mapped read-only and served zero-copy. Parse limits and the deobfuscate
+// flag default to the model's own configuration; --deob / --no-deob
+// override normalization.
 //
 // Client helper modes (no model; the wire protocol without a binary client):
 //   --encode FILE.JS... [--provenance] [--quit]
@@ -318,12 +317,10 @@ int main(int argc, char** argv) {
         w.kv("deobfuscate", opts.deobfuscate);
         w.kv("queue_depth",
              static_cast<std::uint64_t>(server.batcher().queue_depth()));
-        if (model.view() != nullptr) {
-          w.key("sections");
-          w.begin_array();
-          for (const auto& s : model.view()->info().sections) w.value(s.name);
-          w.end_array();
-        }
+        w.key("sections");
+        w.begin_array();
+        for (const auto& s : model.view().info().sections) w.value(s.name);
+        w.end_array();
       });
       admin->start();
       // Port discovery for scripts (ephemeral --admin 0): stdout in socket
