@@ -33,9 +33,9 @@
 #include "core/model_view.h"
 #include "dataset/generator.h"
 #include "obfuscators/obfuscator.h"
-#include "obs/admin.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
+#include "serve/admin.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
@@ -140,7 +140,7 @@ struct Scraper {
         std::string body;
         std::string err;
         const int status =
-            obs::admin_http_get(endpoint, "/metrics", &body, &err);
+            serve::admin_http_get(endpoint, "/metrics", &body, &err);
         ++scrapes;
         if (status != 200) {
           if (failures++ == 0) {
@@ -209,7 +209,7 @@ int main() {
   serve::Server server(model, opts);
   serve::register_build_info(model, artifact_path);
 
-  obs::AdminServer admin;
+  serve::AdminServer admin;
   admin.listen_tcp(0);
   admin.set_ready_check([&server] { return server.ready(); });
   admin.start();
@@ -285,7 +285,7 @@ int main() {
   server_thread.join();
   std::string ready_body;
   const int ready_status =
-      obs::admin_http_get(endpoint, "/readyz", &ready_body);
+      serve::admin_http_get(endpoint, "/readyz", &ready_body);
   admin.stop();
   ::close(sv[0]);
   ::close(sv[1]);

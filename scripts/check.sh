@@ -163,8 +163,10 @@ echo "jsr_serve: malformed-frame sweep survived (exit 0 on all three)"
 # (ephemeral port, announced on stdout), probed through the built-in test
 # client. /healthz must answer, /statusz must be valid JSON, and the
 # /metrics exposition must pass jsr_stats's Prometheus validator and carry
-# the build/model info gauges. SIGTERM must still shut the pair down
-# cleanly (exit 0) with both listeners draining.
+# the build/model info gauges. 100 sequential /healthz requests must not
+# grow the daemon's thread count by more than 4 (the shared Listener joins
+# finished connection threads on every accept). SIGTERM must still shut the
+# pair down cleanly (exit 0) with both listeners draining.
 echo "== jsr_serve admin plane smoke (ASan+UBSan)"
 admin_sock="${BUILD_DIR}/admin_smoke.sock"
 admin_log="${BUILD_DIR}/admin_smoke.log"
@@ -198,6 +200,20 @@ grep -q '^jsr_build_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_build_info gauge missing" >&2; exit 1; }
 grep -q '^jsr_model_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_model_info gauge missing" >&2; exit 1; }
+daemon_threads() { awk '/^Threads:/{print $2}' "/proc/${admin_pid}/status"; }
+threads_before="$(daemon_threads)"
+for _ in $(seq 1 100); do
+  "${BUILD_DIR}/tools/jsr_serve" --admin-get "${admin_ep}" /healthz > /dev/null
+done
+threads_after="$(daemon_threads)"
+if [ "${threads_after}" -gt $((threads_before + 4)) ]; then
+  echo "admin smoke FAILED: daemon threads ${threads_before} ->" \
+       "${threads_after} over 100 sequential requests" >&2
+  kill "${admin_pid}" 2> /dev/null || true
+  exit 1
+fi
+echo "jsr_serve admin plane: daemon threads ${threads_before} ->" \
+     "${threads_after} over 100 sequential requests"
 kill -TERM "${admin_pid}"
 wait "${admin_pid}"
 echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"

@@ -11,7 +11,9 @@
 // byte-identical artifacts at any thread width.
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "core/jsrevealer.h"
@@ -96,6 +98,17 @@ std::vector<std::uint8_t> JsRevealer::build_artifact() const {
   hdr.n_trees = static_cast<std::uint32_t>(forest_.tree_count());
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
+  // 0 encodes the default cap, so default models keep their exact bytes.
+  const std::size_t max_paths = cfg_.path.max_paths;
+  if (max_paths == 0 ||
+      max_paths > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "JsRevealer: path cap " + std::to_string(max_paths) +
+        " does not fit the artifact header (1..2^32-1)");
+  }
+  if (max_paths != paths::PathConfig{}.max_paths) {
+    hdr.path_max_paths = static_cast<std::uint32_t>(max_paths);
+  }
   hdr.max_vocab = cfg_.max_vocab;
 
   std::vector<std::uint8_t> buf(sizeof(fmt::ArtifactHeader) +

@@ -317,10 +317,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // Trusted attach: the bytes were built in this process a moment ago.
   obs::Span span("core.train.artifact", "core");
   view_.from_buffer(build_artifact(), /*verify_checksums=*/false);
-  // The artifact does not carry the per-script path cap; like the parse
-  // limits it comes from this detector's config, so inference extracts
-  // exactly the paths training did.
-  view_.path_cfg_.max_paths = cfg_.path.max_paths;
 }
 
 std::vector<double> JsRevealer::features_from_embedding(

@@ -101,7 +101,7 @@ struct ArtifactHeader {
   std::uint32_t n_trees = 0;
   std::uint32_t path_max_length = 0;
   std::uint32_t path_max_width = 0;
-  std::uint32_t reserved0 = 0;
+  std::uint32_t path_max_paths = 0;       // per-script cap; 0 = the default
   std::uint64_t max_vocab = 0;
   std::uint64_t reserved1 = 0;
 };

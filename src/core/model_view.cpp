@@ -322,6 +322,7 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   path_cfg_ = paths::PathConfig{};
   path_cfg_.max_length = static_cast<int>(hdr.path_max_length);
   path_cfg_.max_width = static_cast<int>(hdr.path_max_width);
+  if (hdr.path_max_paths != 0) path_cfg_.max_paths = hdr.path_max_paths;
   path_cfg_.use_dataflow = (hdr.flags & fmt::kFlagUseDataflow) != 0;
   deobfuscate_ = (hdr.flags & fmt::kFlagDeobfuscate) != 0;
 
@@ -335,7 +336,6 @@ ArtifactInfo ModelView::info() const {
     ArtifactSectionInfo si;
     si.rec = rec;
     si.name = fmt::section_name(static_cast<fmt::SectionId>(rec.id));
-    si.checksum_ok = payload_checksum(data_, rec) == rec.checksum;
     out.sections.push_back(si);
   }
   return out;

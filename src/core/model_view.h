@@ -93,10 +93,11 @@ class MappedFile {
 };
 
 /// One row of ModelView::info() (header + section table, for inspection).
+/// An attached view's checksums have all matched: map_file/from_buffer
+/// verify them, and only the trainer attaches unverified, to bytes it built.
 struct ArtifactSectionInfo {
   fmt::SectionRec rec;
   const char* name = "";
-  bool checksum_ok = false;
 };
 
 struct ArtifactInfo {
@@ -161,7 +162,11 @@ class ModelView {
   /// externally-built analyses classify bit-identically to classify(source).
   const js::ParseLimits& parse_limits() const { return parse_limits_; }
   bool deobfuscate() const { return deobfuscate_; }
+  /// Path-extraction limits (length, width, per-script cap, dataflow).
+  const paths::PathConfig& path_config() const { return path_cfg_; }
 
+  /// Header of the attached artifact (dims, flags, path limits).
+  const fmt::ArtifactHeader& header() const { return header_; }
   /// Header and section table of the attached artifact (jsr_model inspect).
   ArtifactInfo info() const;
 
@@ -180,9 +185,8 @@ class ModelView {
   const StageTimings& timings() const { return timings_; }
 
  private:
-  // The trainer attaches its own view, names it, mirrors its parse limits,
-  // path cap and width into it, and books its training stages on its
-  // timings.
+  // The trainer attaches its own view, names it, mirrors its parse limits
+  // and width into it, and books its training stages on its timings.
   friend class JsRevealer;
 
   void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,

@@ -14,24 +14,27 @@
 // Wire behavior is deliberately boring and is pinned by tests: a request
 // line that does not parse draws 400, headers beyond the cap draw 431, any
 // method but GET draws 405, unknown paths draw 404 — and in every case only
-// that connection dies; the accept loop and the daemon keep running. The
-// shutdown story is the same self-pipe idiom as serve::Server: every blocking
-// poll also watches the pipe, so request_shutdown() (async-signal-safe)
-// unsticks readers, /tracez waits, and the accept loop at once.
+// that connection dies; the accept loop and the daemon keep running. Sockets,
+// connection threads and shutdown belong to a serve::Listener, the same one
+// under serve::Server: every blocking poll here also watches its wake_fd(),
+// so request_shutdown() (async-signal-safe) unsticks readers, /tracez waits,
+// and the accept loop at once.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
+
+#include "serve/listener.h"
 
 namespace jsrev::obs {
-
 class JsonWriter;
+}  // namespace jsrev::obs
+
+namespace jsrev::serve {
 
 class AdminServer {
  public:
@@ -50,11 +53,13 @@ class AdminServer {
   /// Binds a loopback-only TCP listener (port 0 picks an ephemeral port; see
   /// bound_port()) or a Unix-domain listener. Throws std::runtime_error on
   /// bind/listen failure.
-  void listen_tcp(std::uint16_t port, const std::string& bind_addr = {});
-  void listen_unix(const std::string& path);
+  void listen_tcp(std::uint16_t port, const std::string& bind_addr = {}) {
+    listener_.listen_tcp(port, bind_addr);
+  }
+  void listen_unix(const std::string& path) { listener_.listen_unix(path); }
 
   /// For TCP listeners bound to port 0: the actual port. 0 otherwise.
-  std::uint16_t bound_port() const { return bound_port_; }
+  std::uint16_t bound_port() const { return listener_.bound_port(); }
 
   /// Readiness probe behind /readyz; defaults to "always ready". Must be
   /// callable from any thread for the server's lifetime.
@@ -64,61 +69,36 @@ class AdminServer {
   /// inside the top-level object, after the built-in version/uptime fields,
   /// and appends members with w.kv(...) / nested objects. Must be callable
   /// from any thread for the server's lifetime.
-  void set_status_fields(std::function<void(JsonWriter&)> fields);
+  void set_status_fields(std::function<void(obs::JsonWriter&)> fields);
 
-  /// Accept loop on the calling thread until request_shutdown(). Joins every
-  /// connection thread before returning.
-  void run();
-
-  /// run() on a background thread; pairs with stop().
+  /// Runs the accept loop on a background thread until stop() or
+  /// request_shutdown(); the loop joins every connection thread on exit.
   void start();
   /// request_shutdown() + join the start() thread. Idempotent.
   void stop();
 
   /// Async-signal-safe graceful stop (one write to the self-pipe).
-  void request_shutdown() noexcept;
+  void request_shutdown() noexcept { listener_.request_shutdown(); }
 
-  bool shutdown_requested() const noexcept {
-    return shutdown_.load(std::memory_order_relaxed);
+  /// Connection threads the listener still tracks (see Listener): a steady
+  /// scrape must not grow this without bound.
+  std::size_t tracked_connections() {
+    return listener_.tracked_connections();
   }
 
-  /// Connection threads currently tracked (in-flight plus finished-but-not-
-  /// yet-reaped). Exposed so tests can pin that the accept loop reaps: a
-  /// steady scrape must not grow this without bound.
-  std::size_t tracked_connections();
-
  private:
-  // One accepted connection: its thread plus a flag the thread sets when it
-  // is done, so the accept loop can join() finished threads (glibc only
-  // reclaims a joinable thread's stack on join) without blocking on live
-  // ones.
-  struct Conn {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
   void handle_connection(int fd);
-  /// Joins and drops every tracked connection whose thread has finished.
-  void reap_finished_connections();
   /// Full HTTP response (status line + headers + body) for one request head.
   std::string respond(std::string_view head);
   std::string handle_tracez(std::string_view query);
 
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::string unix_path_;  // unlinked on destruction when non-empty
-
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> shutdown_{false};
+  Listener listener_;
 
   std::function<bool()> ready_check_;
-  std::function<void(JsonWriter&)> status_fields_;
+  std::function<void(obs::JsonWriter&)> status_fields_;
   std::int64_t start_us_ = 0;  // steady-clock birth, for /statusz uptime
 
   std::mutex trace_mu_;  // /tracez captures are serialized
-
-  std::mutex threads_mu_;
-  std::vector<Conn> conn_threads_;
   std::thread run_thread_;  // start()/stop()
 };
 
@@ -133,4 +113,4 @@ int admin_http_get(const std::string& endpoint, const std::string& path,
                    std::string* body, std::string* error = nullptr,
                    long timeout_ms = 10'000);
 
-}  // namespace jsrev::obs
+}  // namespace jsrev::serve

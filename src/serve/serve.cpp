@@ -32,6 +32,7 @@ ServeOptions ServeModel::options() const {
 void register_build_info(const ServeModel& model,
                          const std::string& model_path) {
   auto& reg = obs::metrics();
+  const core::fmt::ArtifactHeader& hdr = model.view().header();
   reg.gauge("build_info", {{"version", kVersionString}},
             {obs::Unit::kCount, false,
              "Build identity; value is always 1, identity in labels"})
@@ -39,8 +40,8 @@ void register_build_info(const ServeModel& model,
   reg.gauge("model_info",
             {{"path", model_path},
              {"format", model.format()},
-             {"format_version", std::to_string(model.format_version())},
-             {"lint_dim", std::to_string(model.lint_dim())},
+             {"format_version", std::to_string(hdr.version)},
+             {"lint_dim", std::to_string(hdr.lint_dim)},
              {"deobfuscate", model.deobfuscate() ? "on" : "off"}},
             {obs::Unit::kCount, false,
              "Served model identity; value is always 1, identity in labels"})

@@ -92,12 +92,9 @@ class ServeModel {
 
   /// Serving format tag (telemetry label, /statusz field).
   std::string format() const { return "jsrm-mapped"; }
-  std::uint32_t format_version() const { return view_.info().header.version; }
-  /// Width of the lint summary tail in the feature vector (0 = lint off).
-  std::size_t lint_dim() const { return view_.info().header.lint_dim; }
 
-  /// The mapped artifact behind this model (section tables / checksums,
-  /// e.g. for /statusz).
+  /// The mapped artifact behind this model (header and section table, e.g.
+  /// for /statusz).
   const core::ModelView& view() const { return view_; }
 
  private:

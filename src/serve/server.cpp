@@ -1,44 +1,14 @@
 #include "serve/server.h"
 
-#include <csignal>
-#include <cstring>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/log.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace jsrev::serve {
-namespace {
-
-void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
-
-/// Writes all of `data` to `fd`, retrying on EINTR / partial writes.
-/// Returns false on any hard error (the peer hung up; SIGPIPE is ignored).
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-}  // namespace
 
 void Server::Conn::add_pending() {
   std::lock_guard<std::mutex> lock(pending_mu);
@@ -61,10 +31,6 @@ void Server::Conn::wait_idle() {
 
 Server::Server(const ServeModel& model, ServeOptions opts)
     : opts_(opts), batcher_(model, opts) {
-  ::signal(SIGPIPE, SIG_IGN);
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-  set_cloexec(wake_pipe_[0]);
-  set_cloexec(wake_pipe_[1]);
   connections_ = obs::metrics().counter("serve.connections");
   frame_errors_ = obs::metrics().counter("serve.errors",
                                          {{"kind", "frame"}});
@@ -75,136 +41,32 @@ Server::Server(const ServeModel& model, ServeOptions opts)
 Server::~Server() {
   request_shutdown();
   batcher_.shutdown();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 void Server::request_shutdown() noexcept {
-  // Readiness drops first (both stores are async-signal-safe): any /readyz
+  // Readiness drops first (both steps are async-signal-safe): any /readyz
   // probe racing the shutdown sees "draining" before connections do.
   ready_.store(false, std::memory_order_relaxed);
-  shutdown_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  // Best-effort, async-signal-safe: one write to the self-pipe wakes every
-  // poll(). The result is ignored — a full pipe already guarantees a wakeup.
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
-
-void Server::listen_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
-  set_cloexec(fd);
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(" + path + ")");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw_errno("listen(" + path + ")");
-  }
-  listen_fd_ = fd;
-  unix_path_ = path;
-}
-
-void Server::listen_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_INET)");
-  set_cloexec(fd);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(127.0.0.1:" + std::to_string(port) + ")");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw_errno("listen");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
+  listener_.request_shutdown();
 }
 
 void Server::run() {
-  if (listen_fd_ < 0) {
-    throw std::logic_error("Server::run without listen_unix/listen_tcp");
-  }
-  while (!shutdown_requested()) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || shutdown_requested()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    set_cloexec(client);
+  listener_.run([this](int fd) {
     connections_->add();
-
-    auto conn = std::make_shared<Conn>();
-    conn->in_fd = client;
-    conn->out_fd = client;
-    conn->own_fds = true;
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] {
-      // Backstop containment: an exception escaping the connection loop
-      // must cost one connection, never the process (an uncaught exception
-      // on a thread is std::terminate).
-      bool quit = false;
-      try {
-        quit = conn_loop(conn);
-      } catch (const std::exception& e) {
-        internal_errors_->add();
-        obs::LogRecord(obs::LogLevel::kError, "serve.conn_thread_error")
-            .kv("what", e.what());
-      }
-      conn->open.store(false, std::memory_order_relaxed);
-      ::close(conn->in_fd);  // == out_fd for accepted sockets
-      if (quit) request_shutdown();
-    });
-  }
-
-  // Drain: readers have stopped (self-pipe); finish in-flight work, flush
-  // every response, then join the connection threads.
+    serve_fd(fd, fd);
+  });
+  // Every reader has stopped and waited out its own responses; drain what
+  // is still booked so run() returns with the batcher idle.
   batcher_.drain();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-    conns_.clear();
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 void Server::serve_fd(int in_fd, int out_fd) {
   auto conn = std::make_shared<Conn>();
   conn->in_fd = in_fd;
   conn->out_fd = out_fd;
-  conn->own_fds = false;
+  // Backstop containment: an exception escaping the connection loop must
+  // cost one connection, never the process (an uncaught exception on a
+  // thread is std::terminate).
   bool quit = false;
   try {
     quit = conn_loop(conn);
@@ -223,8 +85,9 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
   bool quit = false;
   bool reading = true;
 
-  while (reading && !shutdown_requested()) {
-    pollfd fds[2] = {{conn->in_fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+  while (reading && !listener_.shutdown_requested()) {
+    pollfd fds[2] = {{conn->in_fd, POLLIN, 0},
+                     {listener_.wake_fd(), POLLIN, 0}};
     const int rc = ::poll(fds, 2, -1);
     if (rc < 0) {
       if (errno == EINTR) continue;

@@ -1,11 +1,11 @@
 // Connection layer of the jsr_serve daemon.
 //
-// The Server owns the fd plumbing around serve::Batcher: it accepts
-// connections on a Unix-domain or TCP listener (or serves exactly one
-// fd pair — the daemon's --stdio mode and the in-process tests), reads
-// length-prefixed frames (serve/frame.h), routes kClassify payloads into the
-// Batcher, and writes responses back under a per-connection write lock so
-// batched completions never interleave bytes.
+// The Server speaks the frame protocol around serve::Batcher: on each
+// connection a serve::Listener accepts (or on exactly one fd pair — the
+// daemon's --stdio mode and the in-process tests) it reads length-prefixed
+// frames (serve/frame.h), routes kClassify payloads into the Batcher, and
+// writes responses back under a per-connection write lock so batched
+// completions never interleave bytes.
 //
 // Failure containment is the contract the malformed-frame tests pin down:
 // a bad magic byte, an unknown frame type, or an oversized payload draws a
@@ -15,9 +15,10 @@
 // malicious verdict with the kParseFailed flag set.
 //
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
-// safe — SIGTERM/SIGINT handlers call it) tickles a self-pipe every reader
-// polls; readers stop consuming input, in-flight batches complete, their
-// responses flush, and run() joins every connection thread before returning.
+// safe — SIGTERM/SIGINT handlers call it) tickles the listener's self-pipe
+// every reader polls; readers stop consuming input, in-flight batches
+// complete, their responses flush, and run() joins every connection thread
+// before returning.
 // A kQuit frame does the same dance and additionally answers kBye after the
 // drain, so a client can confirm its requests all landed.
 #pragma once
@@ -28,18 +29,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/frame.h"
+#include "serve/listener.h"
 #include "serve/serve.h"
 
 namespace jsrev::serve {
 
 class Server {
  public:
-  /// `model` must outlive the server. Installs a SIG_IGN for SIGPIPE (a
-  /// client hanging up mid-response must not kill the daemon).
+  /// `model` must outlive the server. Ignores SIGPIPE (see Listener).
   Server(const ServeModel& model, ServeOptions opts);
   ~Server();
 
@@ -47,16 +46,18 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Serves one pre-connected fd pair (stdin/stdout in --stdio mode, one
-  /// end of a socketpair in tests) on the calling thread; returns after EOF
-  /// or kQuit, with every accepted request answered.
+  /// end of a socketpair in tests, each accepted socket under run()) on the
+  /// calling thread; returns after EOF or kQuit, with every accepted request
+  /// answered. Does not close the fds.
   void serve_fd(int in_fd, int out_fd);
 
-  /// Binds a listener. Throws std::runtime_error on bind/listen failure.
-  void listen_unix(const std::string& path);
-  void listen_tcp(std::uint16_t port);
+  /// Binds a listener (loopback for TCP). Throws std::runtime_error on
+  /// bind/listen failure.
+  void listen_unix(const std::string& path) { listener_.listen_unix(path); }
+  void listen_tcp(std::uint16_t port) { listener_.listen_tcp(port); }
 
   /// For TCP listeners bound to port 0: the actual port. 0 otherwise.
-  std::uint16_t bound_port() const { return bound_port_; }
+  std::uint16_t bound_port() const { return listener_.bound_port(); }
 
   /// Accept loop: one reader thread per connection, until
   /// request_shutdown(). Joins every connection and drains the batcher
@@ -67,8 +68,9 @@ class Server {
   /// callable from signal handlers and from any thread.
   void request_shutdown() noexcept;
 
-  bool shutdown_requested() const noexcept {
-    return shutdown_.load(std::memory_order_relaxed);
+  /// Connection threads the listener still tracks (see Listener).
+  std::size_t tracked_connections() {
+    return listener_.tracked_connections();
   }
 
   /// Readiness for the admin plane's /readyz: true from construction until
@@ -84,7 +86,6 @@ class Server {
   struct Conn {
     int in_fd = -1;
     int out_fd = -1;
-    bool own_fds = false;  // accepted sockets are closed by us; stdio is not
     std::mutex write_mu;
     std::mutex pending_mu;
     std::condition_variable pending_cv;
@@ -112,19 +113,9 @@ class Server {
   void write_frame(const std::shared_ptr<Conn>& conn, const Frame& frame);
 
   ServeOptions opts_;
+  Listener listener_;
   Batcher batcher_;
-
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::string unix_path_;  // unlinked on destruction when non-empty
-
-  int wake_pipe_[2] = {-1, -1};  // self-pipe; [1] written by request_shutdown
-  std::atomic<bool> shutdown_{false};
   std::atomic<bool> ready_{true};
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
 
   obs::Counter* connections_ = nullptr;
   obs::Counter* frame_errors_ = nullptr;

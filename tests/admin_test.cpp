@@ -25,13 +25,14 @@
 
 #include "core/jsrevealer.h"
 #include "dataset/generator.h"
-#include "obs/admin.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "serve/admin.h"
 #include "serve/frame.h"
+#include "serve/listener.h"
 #include "serve/serve.h"
 #include "serve/server.h"
 
@@ -459,15 +460,8 @@ class AdminHttpTest : public ::testing::Test {
   /// Raw request bytes in, full response text out (for malformed requests
   /// admin_http_get cannot express).
   std::string raw_request(const std::string& bytes) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(admin_.bound_port());
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = serve::connect_endpoint(endpoint_, /*timeout_ms=*/0);
     EXPECT_GE(fd, 0);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
     EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
               static_cast<ssize_t>(bytes.size()));
     std::string response;
@@ -480,13 +474,13 @@ class AdminHttpTest : public ::testing::Test {
     return response;
   }
 
-  obs::AdminServer admin_;
+  serve::AdminServer admin_;
   std::string endpoint_;
 };
 
 TEST_F(AdminHttpTest, HealthzIsAlwaysAlive) {
   std::string body, error;
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/healthz", &body, &error), 200)
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/healthz", &body, &error), 200)
       << error;
   EXPECT_EQ(body, "ok\n");
 }
@@ -496,7 +490,7 @@ TEST_F(AdminHttpTest, MetricsServeValidExposition) {
   // least one metric exists regardless of test order.
   obs::metrics().counter("admin_test.pings")->add(1);
   std::string body, error;
-  ASSERT_EQ(obs::admin_http_get(endpoint_, "/metrics", &body, &error), 200)
+  ASSERT_EQ(serve::admin_http_get(endpoint_, "/metrics", &body, &error), 200)
       << error;
   EXPECT_TRUE(obs::validate_prometheus_text(body, &error)) << error;
   PromDoc doc;
@@ -508,7 +502,7 @@ TEST_F(AdminHttpTest, StatuszCarriesVersionUptimeAndInjectedFields) {
   admin_.set_status_fields(
       [](obs::JsonWriter& w) { w.kv("model_path", "m.jsrm"); });
   std::string body, error;
-  ASSERT_EQ(obs::admin_http_get(endpoint_, "/statusz", &body, &error), 200)
+  ASSERT_EQ(serve::admin_http_get(endpoint_, "/statusz", &body, &error), 200)
       << error;
   const auto doc = obs::json_parse(body, &error);
   ASSERT_NE(doc, nullptr) << error;
@@ -521,10 +515,10 @@ TEST_F(AdminHttpTest, ReadyzFollowsTheReadyCheck) {
   std::atomic<bool> ready{true};
   admin_.set_ready_check([&ready] { return ready.load(); });
   std::string body;
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/readyz", &body), 200);
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/readyz", &body), 200);
   EXPECT_EQ(body, "ready\n");
   ready.store(false);
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/readyz", &body), 503);
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/readyz", &body), 503);
   EXPECT_EQ(body, "draining\n");
 }
 
@@ -536,7 +530,7 @@ TEST_F(AdminHttpTest, TracezCapturesSpansInTheWindow) {
     }
   });
   std::string body, error;
-  ASSERT_EQ(obs::admin_http_get(endpoint_, "/tracez?ms=60", &body, &error),
+  ASSERT_EQ(serve::admin_http_get(endpoint_, "/tracez?ms=60", &body, &error),
             200)
       << error;
   worker.join();
@@ -548,7 +542,7 @@ TEST_F(AdminHttpTest, TracezCapturesSpansInTheWindow) {
 
 TEST_F(AdminHttpTest, UnknownPathIs404) {
   std::string body;
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/nope", &body), 404);
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/nope", &body), 404);
 }
 
 TEST_F(AdminHttpTest, NonGetIs405) {
@@ -562,7 +556,7 @@ TEST_F(AdminHttpTest, GarbageRequestLineIs400AndContained) {
   EXPECT_EQ(resp.rfind("HTTP/1.1 400", 0), 0u) << resp;
   // Containment: the server still answers the next connection.
   std::string body;
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/healthz", &body), 200);
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/healthz", &body), 200);
 }
 
 TEST_F(AdminHttpTest, TruncatedRequestLineIs400) {
@@ -572,11 +566,11 @@ TEST_F(AdminHttpTest, TruncatedRequestLineIs400) {
 
 TEST_F(AdminHttpTest, OversizedHeadIs431) {
   std::string huge = "GET /healthz HTTP/1.1\r\n";
-  huge += "X-Padding: " + std::string(obs::AdminServer::kMaxRequestBytes, 'a');
+  huge += "X-Padding: " + std::string(serve::AdminServer::kMaxRequestBytes, 'a');
   const std::string resp = raw_request(huge);
   EXPECT_EQ(resp.rfind("HTTP/1.1 431", 0), 0u) << resp;
   std::string body;
-  EXPECT_EQ(obs::admin_http_get(endpoint_, "/healthz", &body), 200);
+  EXPECT_EQ(serve::admin_http_get(endpoint_, "/healthz", &body), 200);
 }
 
 // A steady scrape must not accumulate one joinable (stack-retaining) thread
@@ -587,7 +581,7 @@ TEST_F(AdminHttpTest, SequentialScrapesDoNotAccumulateThreads) {
   constexpr int kRequests = 64;
   for (int i = 0; i < kRequests; ++i) {
     std::string body;
-    ASSERT_EQ(obs::admin_http_get(endpoint_, "/healthz", &body), 200) << i;
+    ASSERT_EQ(serve::admin_http_get(endpoint_, "/healthz", &body), 200) << i;
   }
   // Each accept reaps everything already finished; only the last few
   // connections can still be in their done-flag window.
@@ -616,7 +610,7 @@ TEST(AdminClient, GetTimesOutAgainstSilentPeer) {
   // back, which is exactly the wedged-daemon shape the timeout exists for.
   std::string body, error;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(obs::admin_http_get(endpoint, "/healthz", &body, &error,
+  EXPECT_EQ(serve::admin_http_get(endpoint, "/healthz", &body, &error,
                                 /*timeout_ms=*/300),
             -1);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
@@ -627,11 +621,11 @@ TEST(AdminClient, GetTimesOutAgainstSilentPeer) {
 
 TEST(AdminUnix, ServesOverUnixSocket) {
   const std::string path = "admin_test.sock";
-  obs::AdminServer admin;
+  serve::AdminServer admin;
   admin.listen_unix(path);
   admin.start();
   std::string body, error;
-  EXPECT_EQ(obs::admin_http_get("unix:" + path, "/healthz", &body, &error),
+  EXPECT_EQ(serve::admin_http_get("unix:" + path, "/healthz", &body, &error),
             200)
       << error;
   admin.stop();
@@ -695,7 +689,7 @@ TEST_F(AdminServeFixture, BuildAndModelInfoGauges) {
       EXPECT_EQ(s.labels.at("deobfuscate"),
                 model_->deobfuscate() ? "on" : "off");
       EXPECT_EQ(s.labels.at("lint_dim"),
-                std::to_string(model_->lint_dim()));
+                std::to_string(model_->view().header().lint_dim));
     }
   }
   EXPECT_TRUE(build_seen);
@@ -710,7 +704,7 @@ TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {
   opts.threads = 2;
   serve::Server server(*model_, opts);
 
-  obs::AdminServer admin;
+  serve::AdminServer admin;
   admin.listen_tcp(0);
   admin.set_ready_check([&server] { return server.ready(); });
   admin.start();
@@ -718,7 +712,7 @@ TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {
       "127.0.0.1:" + std::to_string(admin.bound_port());
 
   std::string body;
-  ASSERT_EQ(obs::admin_http_get(endpoint, "/readyz", &body), 200);
+  ASSERT_EQ(serve::admin_http_get(endpoint, "/readyz", &body), 200);
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -750,7 +744,7 @@ TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {
   // precedes kBye. Poll (the reader thread races us to the QUIT frame).
   int status = 0;
   for (int tries = 0; tries < 2000; ++tries) {
-    status = obs::admin_http_get(endpoint, "/readyz", &body);
+    status = serve::admin_http_get(endpoint, "/readyz", &body);
     if (status == 503) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -135,7 +135,6 @@ TEST_F(ArtifactFixture, InfoReportsValidatedSections) {
   EXPECT_EQ(info.header.file_size, artifact_->size());
   EXPECT_EQ(info.sections.size(), std::size_t(core::fmt::kSectionCount));
   for (const core::ArtifactSectionInfo& s : info.sections) {
-    EXPECT_TRUE(s.checksum_ok) << s.name;
     EXPECT_EQ(s.rec.offset % core::fmt::kSectionAlign, 0u) << s.name;
   }
 }

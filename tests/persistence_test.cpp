@@ -5,6 +5,10 @@
 // model_artifact_test.)
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
@@ -114,6 +118,47 @@ TEST(Persistence, FlatForestScoresLikeTrainedForest) {
     EXPECT_EQ(forest.predict(x.row(i)), flat.predict(x.row(i)));
     EXPECT_EQ(forest.predict_proba(x.row(i)), flat.predict_proba(x.row(i)));
   }
+}
+
+// The per-script path cap travels in the artifact header: a model trained
+// with a non-default cap and mapped from its file extracts, and so
+// featurizes, exactly what its trainer did — not up to the default cap.
+TEST(Persistence, MappedModelKeepsTrainedPathCap) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 35;
+  gc.benign_count = 20;
+  gc.malicious_count = 20;
+  const dataset::Corpus corpus = dataset::generate_corpus(gc);
+
+  core::Config cfg;
+  cfg.embed_epochs = 4;
+  cfg.path.max_paths = 50;
+  core::JsRevealer trainer(cfg);
+  trainer.train(corpus);
+
+  const std::string path = "/tmp/jsrev_persistence_cap_test.jsrm";
+  trainer.save_artifact_file(path);
+  core::ModelView mapped;
+  mapped.map_file(path);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(mapped.path_config().max_paths, 50u);
+  for (const auto& s : corpus.samples) {
+    EXPECT_EQ(mapped.featurize(s.source), trainer.featurize(s.source));
+  }
+}
+
+TEST(Persistence, PathCapBeyondHeaderWidthThrows) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 36;
+  gc.benign_count = 10;
+  gc.malicious_count = 10;
+  core::Config cfg;
+  cfg.embed_epochs = 2;
+  cfg.path.max_paths = std::size_t{1} << 33;
+  core::JsRevealer trainer(cfg);
+  EXPECT_THROW(trainer.train(dataset::generate_corpus(gc)),
+               std::invalid_argument);
 }
 
 }  // namespace

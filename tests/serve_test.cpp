@@ -14,8 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +21,7 @@
 #include "core/model_view.h"
 #include "dataset/generator.h"
 #include "serve/frame.h"
+#include "serve/listener.h"
 #include "serve/serve.h"
 #include "serve/server.h"
 
@@ -290,16 +289,10 @@ TEST_F(ServeFixture, ConcurrentClientsMatchLibrary) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(server.bound_port());
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0) {
-        ::close(fd);
-        return;
-      }
+      const int fd = serve::connect_endpoint(
+          "127.0.0.1:" + std::to_string(server.bound_port()),
+          /*timeout_ms=*/0);
+      if (fd < 0) return;
       std::string out;
       for (std::size_t i = 0; i < scripts_->size(); ++i) {
         serve::append_frame(
@@ -334,13 +327,9 @@ TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
   std::thread daemon([&] { server.run(); });
 
   const auto connect_client = [&]() -> int {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server.bound_port());
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
+    const int fd = serve::connect_endpoint(
+        "127.0.0.1:" + std::to_string(server.bound_port()), /*timeout_ms=*/0);
+    EXPECT_GE(fd, 0);
     return fd;
   };
 
@@ -366,6 +355,42 @@ TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
     EXPECT_EQ(frames[0].id, 5u);
     ::close(fd);
   }
+
+  server.request_shutdown();
+  daemon.join();
+}
+
+// Clients that reconnect must not cost the daemon one thread per connection
+// it ever accepted: the listener joins finished connection threads on every
+// accept, so 500 sequential PING round trips leave only the last few
+// tracked.
+TEST_F(ServeFixture, SequentialConnectionsDoNotAccumulateThreads) {
+  const std::string path = "serve_test_reap.sock";
+  serve::Server server(*model_, model_->options());
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+
+  constexpr std::uint32_t kConnections = 500;
+  std::uint32_t ponged = 0;
+  for (std::uint32_t i = 0; i < kConnections; ++i) {
+    const int fd =
+        serve::connect_endpoint("unix:" + path, /*timeout_ms=*/10'000);
+    if (fd < 0) break;
+    serve::Frame ping;
+    ping.type = serve::FrameType::kPing;
+    ping.id = i;
+    send_all(fd, serve::encode_frame(ping));
+    const std::vector<serve::Frame> frames = read_frames(fd, 1);
+    ::close(fd);
+    if (frames.size() != 1 || frames[0].type != serve::FrameType::kPong) {
+      break;
+    }
+    ++ponged;
+  }
+  EXPECT_EQ(ponged, kConnections);
+  // Each accept reaps everything already finished; only the last few
+  // connections can still be in their done-flag window.
+  EXPECT_LE(server.tracked_connections(), 8u);
 
   server.request_shutdown();
   daemon.join();

@@ -5,8 +5,9 @@
 //       trains a JsRevealer on a generated corpus and writes the mmap-able
 //       artifact (byte-identical at any --threads width).
 //   inspect M.jsrm
-//       prints the header, the section table (name, offset, size, checksum,
-//       verification state), and per-section share of the file.
+//       verifies the artifact, then prints the header (with the per-script
+//       path cap), the section table (name, offset, size, checksum), and
+//       per-section share of the file.
 //   classify M.jsrm FILE.JS...
 //       maps the artifact and classifies each file (0 = benign,
 //       1 = malicious), exercising the exact zero-copy path a serving
@@ -120,14 +121,14 @@ int cmd_inspect(const std::string& path) {
   std::printf("  vocab_size=%u table_size=%u n_trees=%u path=%u/%u flags=%#x\n",
               h.vocab_size, h.vocab_table_size, h.n_trees, h.path_max_length,
               h.path_max_width, h.flags);
-  std::printf("  %-26s %10s %12s %18s  %s\n", "section", "offset", "bytes",
-              "fnv1a64", "state");
+  std::printf("  max_paths=%zu\n", view.path_config().max_paths);
+  std::printf("  %-26s %10s %12s %18s\n", "section", "offset", "bytes",
+              "fnv1a64");
   for (const core::ArtifactSectionInfo& s : info.sections) {
-    std::printf("  %-26s %10llu %12llu %018llx  %s\n", s.name,
+    std::printf("  %-26s %10llu %12llu %018llx\n", s.name,
                 static_cast<unsigned long long>(s.rec.offset),
                 static_cast<unsigned long long>(s.rec.size),
-                static_cast<unsigned long long>(s.rec.checksum),
-                s.checksum_ok ? "ok" : "CORRUPT");
+                static_cast<unsigned long long>(s.rec.checksum));
   }
   return 0;
 }

@@ -39,9 +39,9 @@
 
 #include <unistd.h>
 
-#include "obs/admin.h"
 #include "obs/json.h"
 #include "obs/log.h"
+#include "serve/admin.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
@@ -149,7 +149,7 @@ int cmd_decode() {
 }
 
 serve::Server* g_server = nullptr;
-obs::AdminServer* g_admin = nullptr;
+serve::AdminServer* g_admin = nullptr;
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->request_shutdown();
@@ -158,7 +158,7 @@ void on_signal(int) {
 
 int cmd_admin_get(const std::string& endpoint, const std::string& path) {
   std::string body, error;
-  const int status = obs::admin_http_get(endpoint, path, &body, &error);
+  const int status = serve::admin_http_get(endpoint, path, &body, &error);
   if (status < 0) {
     std::fprintf(stderr, "jsr_serve: --admin-get: %s\n", error.c_str());
     return 1;
@@ -289,9 +289,9 @@ int main(int argc, char** argv) {
 
     // Admin telemetry plane, when asked for: /metrics, /healthz, /readyz,
     // /statusz, /tracez on its own listener, never sharing the frame fds.
-    std::unique_ptr<obs::AdminServer> admin;
+    std::unique_ptr<serve::AdminServer> admin;
     if (!admin_spec.empty() || !admin_unix.empty()) {
-      admin = std::make_unique<obs::AdminServer>();
+      admin = std::make_unique<serve::AdminServer>();
       if (!admin_unix.empty()) {
         admin->listen_unix(admin_unix);
       } else {
@@ -311,9 +311,9 @@ int main(int argc, char** argv) {
         w.kv("model_path", model_path);
         w.kv("model_name", model.name());
         w.kv("model_format", model.format());
-        w.kv("model_format_version",
-             static_cast<std::uint64_t>(model.format_version()));
-        w.kv("lint_dim", static_cast<std::uint64_t>(model.lint_dim()));
+        const core::fmt::ArtifactHeader& hdr = model.view().header();
+        w.kv("model_format_version", static_cast<std::uint64_t>(hdr.version));
+        w.kv("lint_dim", static_cast<std::uint64_t>(hdr.lint_dim));
         w.kv("deobfuscate", opts.deobfuscate);
         w.kv("queue_depth",
              static_cast<std::uint64_t>(server.batcher().queue_depth()));
