@@ -5,6 +5,10 @@
 // test set both unobfuscated ("Baseline" row) and re-obfuscated by each of
 // the four obfuscator models, repeating `repeats` times with different seeds
 // and averaging.
+//
+// bench_paper_grid runs it once per distinct grid and prints Tables IV–VI,
+// Figs. 6–7 and the deobfuscation recovery table from those results;
+// bench_table3_ksweep and bench_ablation run it per configuration.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +36,8 @@ struct HarnessConfig {
   // Run every detector behind the static deobfuscation pipeline: training
   // sources are normalized up front and every test-condition analysis is
   // built with deobfuscate on, so all five detectors see normalized inputs
-  // (bench_deob measures the robustness this recovers).
+  // (bench_paper_grid's recovery table measures the robustness this
+  // recovers).
   bool deobfuscate = false;
 };
 

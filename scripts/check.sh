@@ -101,8 +101,9 @@ echo "== bench_ast_layout smoke (ASan+UBSan)"
 # Model-artifact lifecycle under sanitizers: train the same small model at
 # widths 1 and 4 and verify the two artifacts are byte-identical — the one
 # model format must not depend on the parallel width. `inspect` re-reads the
-# result (header, section table, checksum pass) and `classify` exercises the
-# mapped zero-copy inference path end to end.
+# result (header, section table, checksum pass); every section line must end
+# in exactly 16 hex digits, the width of an FNV-1a 64 checksum. `classify`
+# exercises the mapped zero-copy inference path end to end.
 echo "== jsr_model width-invariant artifact (ASan+UBSan)"
 "${BUILD_DIR}/tools/jsr_model" train --scripts 16 --seed 5 --threads 1 \
     --out "${BUILD_DIR}/check_model.jsrm"
@@ -111,7 +112,16 @@ echo "== jsr_model width-invariant artifact (ASan+UBSan)"
 cmp "${BUILD_DIR}/check_model.jsrm" "${BUILD_DIR}/check_model_w4.jsrm"
 echo "jsr_model: artifacts trained at widths 1 and 4 are byte-identical"
 "${BUILD_DIR}/tools/jsr_model" inspect "${BUILD_DIR}/check_model.jsrm" \
-    > /dev/null
+    > "${BUILD_DIR}/check_model_inspect.txt"
+inspect_sections="$(sed -n '/^  section /,$p' "${BUILD_DIR}/check_model_inspect.txt" \
+    | tail -n +2)"
+if [ -z "${inspect_sections}" ] \
+    || grep -Evq ' [0-9a-f]{16}$' <<< "${inspect_sections}"; then
+  echo "jsr_model inspect FAILED: section lines must end in a 16-digit checksum" >&2
+  cat "${BUILD_DIR}/check_model_inspect.txt" >&2
+  exit 1
+fi
+echo "jsr_model inspect: every section checksum prints as 16 hex digits"
 "${BUILD_DIR}/tools/jsr_model" classify "${BUILD_DIR}/check_model.jsrm" \
     examples/samples/dropper.js
 
@@ -218,21 +228,15 @@ kill -TERM "${admin_pid}"
 wait "${admin_pid}"
 echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"
 
-# Serving bench at smoke scale: one repeat, tiny corpus — the point under
-# sanitizers is memory safety across the socketpair + framing + batching
-# stack plus the always-on hard gate (daemon verdicts bit-identical to the
-# library) and a schema-valid BENCH_serve.json.
+# Serving bench at smoke scale: one scraped/unscraped pair, tiny corpus,
+# timing waived under sanitizers. The point is memory safety across the
+# socketpair + framing + batching stack with the admin plane armed, plus the
+# always-on gates: daemon verdicts bit-identical to the library on every
+# round, a clean /metrics exposition on every scrape, /readyz flipping to
+# 503 on drain, and a schema-valid BENCH_serve.json.
 echo "== bench_serve smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_TRAIN=24 JSREV_BENCH_CORPUS=8 \
     JSREV_BENCH_REPEATS=1 JSREV_BENCH_ASAN_RELAX=1 ./bench/bench_serve)
-
-# Admin-overhead bench at smoke scale: timing waived under sanitizers; the
-# always-on gates here are verdict bit-identity with the admin plane armed,
-# a clean /metrics exposition on every scrape, /readyz flipping to 503 on
-# drain, and a schema-valid BENCH_admin.json.
-echo "== bench_admin smoke (ASan+UBSan)"
-(cd "${BUILD_DIR}" && JSREV_BENCH_TRAIN=24 JSREV_BENCH_CORPUS=8 \
-    JSREV_BENCH_REPEATS=1 JSREV_BENCH_ASAN_RELAX=1 ./bench/bench_admin)
 
 # Model-IO bench at smoke scale: one repeat — the point under sanitizers is
 # memory safety across mmap attach/validation plus the always-on hard gate
@@ -242,12 +246,13 @@ echo "== bench_model_io smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_TRAIN=24 JSREV_BENCH_CORPUS=16 \
     JSREV_BENCH_REPEATS=1 ./bench/bench_model_io)
 
-# Robustness-recovery bench at smoke scale: tiny corpus, one repeat — the
-# point here is memory safety across both half-grids (pipeline off/on for
-# all five detectors) plus a schema-valid BENCH_deob.json, not the numbers.
-echo "== bench_deob smoke (ASan+UBSan)"
+# Paper-grid bench at smoke scale: tiny corpus, one repeat. The point here
+# is memory safety across the three grids (five detectors with the
+# deobfuscation pipeline off and on, plus the regular-AST JSRevealer) and a
+# schema-valid BENCH_paper_grid.json, not the numbers.
+echo "== bench_paper_grid smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_CORPUS=40 JSREV_BENCH_TRAIN=24 \
-    JSREV_BENCH_REPEATS=1 ./bench/bench_deob)
+    JSREV_BENCH_REPEATS=1 ./bench/bench_paper_grid)
 
 echo "== artifact schema validation"
 "${BUILD_DIR}/tools/jsr_stats" \
@@ -256,10 +261,9 @@ echo "== artifact schema validation"
     --validate "${BUILD_DIR}/stats_trace.json" \
     --validate "${BUILD_DIR}/BENCH_fuzz.json" \
     --validate "${BUILD_DIR}/BENCH_ast_layout.json" \
-    --validate "${BUILD_DIR}/BENCH_deob.json" \
+    --validate "${BUILD_DIR}/BENCH_paper_grid.json" \
     --validate "${BUILD_DIR}/BENCH_model_io.json" \
     --validate "${BUILD_DIR}/BENCH_serve.json" \
-    --validate "${BUILD_DIR}/BENCH_admin.json" \
     --validate "${BUILD_DIR}/stats_metrics.prom" \
     --validate "${BUILD_DIR}/admin_metrics.prom"
 

@@ -79,6 +79,30 @@ TEST(Harness, BaselineConditionIsEasierThanObfuscated) {
   EXPECT_GE(clean + 1e-9, obf_avg);
 }
 
+TEST(Harness, JsRevealerRowIndependentOfOtherDetectors) {
+  // Detectors train on fresh instances over shared analyses, so JSRevealer's
+  // row of the five-detector grid must equal a JSRevealer-only run — which
+  // lets one grid serve both Table IV's enhanced rows and Tables V/VI.
+  const HarnessConfig cfg = tiny_config();
+  const ResultGrid alone = run_grid(cfg, {jsrevealer_factory(cfg)});
+  const ResultGrid all = run_grid(cfg, standard_factories(cfg));
+  ASSERT_EQ(all.size(), 5u);
+  const auto& solo = alone.at("JSRevealer");
+  const auto& shared = all.at("JSRevealer");
+  // The grid averages rates, not counts, so compare the rates bit for bit;
+  // on one shared test set, equal accuracy/FPR/FNR pin the confusion matrix.
+  for (const auto& cond : condition_names()) {
+    const ml::Metrics& a = solo.at(cond);
+    const ml::Metrics& b = shared.at(cond);
+    EXPECT_EQ(a.accuracy, b.accuracy) << cond;
+    EXPECT_EQ(a.precision, b.precision) << cond;
+    EXPECT_EQ(a.recall, b.recall) << cond;
+    EXPECT_EQ(a.f1, b.f1) << cond;
+    EXPECT_EQ(a.fpr, b.fpr) << cond;
+    EXPECT_EQ(a.fnr, b.fnr) << cond;
+  }
+}
+
 TEST(Harness, PctFormatsFractions) {
   EXPECT_EQ(pct(0.994), "99.4");
   EXPECT_EQ(pct(0.0), "0.0");

@@ -122,10 +122,10 @@ int cmd_inspect(const std::string& path) {
               h.vocab_size, h.vocab_table_size, h.n_trees, h.path_max_length,
               h.path_max_width, h.flags);
   std::printf("  max_paths=%zu\n", view.path_config().max_paths);
-  std::printf("  %-26s %10s %12s %18s\n", "section", "offset", "bytes",
+  std::printf("  %-26s %10s %12s %16s\n", "section", "offset", "bytes",
               "fnv1a64");
   for (const core::ArtifactSectionInfo& s : info.sections) {
-    std::printf("  %-26s %10llu %12llu %018llx\n", s.name,
+    std::printf("  %-26s %10llu %12llu %016llx\n", s.name,
                 static_cast<unsigned long long>(s.rec.offset),
                 static_cast<unsigned long long>(s.rec.size),
                 static_cast<unsigned long long>(s.rec.checksum));
