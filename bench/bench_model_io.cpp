@@ -1,7 +1,11 @@
-// Measures and gates the JSRM v3 zero-copy model artifact:
+// Measures and gates the JSRM v4 zero-copy model artifact (the vocabulary,
+// one 16-byte cluster-table record per vocabulary id, the scaler and the
+// forest):
 //
 //   * the open cost of mapping an artifact file, with the per-section
-//     checksum pass (verified) and without it (trusted), is reported,
+//     checksum pass (verified) and without it (trusted), is reported; both
+//     include the structural checks, which scan every cluster-table
+//     record (cluster index in range, zero pad, finite logit),
 //   * verdicts from the mapped file must be bit-identical to the trainer's
 //     own in-memory view over the obfuscated evaluation grid, at thread
 //     widths 1, 2, and 8 (hard gate, timing-independent, always enforced),
@@ -87,7 +91,8 @@ int main() {
 
   // --- open cost: verified vs trusted map --------------------------------
   // Best-of-N each: a checksum-verified map (touches every page once to FNV
-  // it) and the trusted open (header + section table + index bounds only) —
+  // it) and the trusted open (header, section table, index bounds and the
+  // cluster-table record checks only) —
   // the steady-state path of each extra serving process once the artifact
   // has been verified at publish time.
   double verified_ms = 0.0, trusted_ms = 0.0;

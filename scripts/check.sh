@@ -100,10 +100,13 @@ echo "== bench_ast_layout smoke (ASan+UBSan)"
 
 # Model-artifact lifecycle under sanitizers: train the same small model at
 # widths 1 and 4 and verify the two artifacts are byte-identical — the one
-# model format must not depend on the parallel width. `inspect` re-reads the
-# result (header, section table, checksum pass); every section line must end
-# in exactly 16 hex digits, the width of an FNV-1a 64 checksum. `classify`
-# exercises the mapped zero-copy inference path end to end.
+# model format must not depend on the parallel width (this covers the
+# parallel build of the per-id cluster table). `inspect` re-reads the result
+# (header, section table, checksum pass); every section line must end in
+# exactly 16 hex digits, the width of an FNV-1a 64 checksum, and the section
+# list must carry paths.cluster_table and no attention.* section (the
+# serving artifact holds the per-id table, not the embedding matrix).
+# `classify` exercises the mapped zero-copy inference path end to end.
 echo "== jsr_model width-invariant artifact (ASan+UBSan)"
 "${BUILD_DIR}/tools/jsr_model" train --scripts 16 --seed 5 --threads 1 \
     --out "${BUILD_DIR}/check_model.jsrm"
@@ -122,6 +125,13 @@ if [ -z "${inspect_sections}" ] \
   exit 1
 fi
 echo "jsr_model inspect: every section checksum prints as 16 hex digits"
+if ! grep -q '^  paths\.cluster_table ' <<< "${inspect_sections}" \
+    || grep -q '^  attention\.' <<< "${inspect_sections}"; then
+  echo "jsr_model inspect FAILED: expected paths.cluster_table and no attention.* section" >&2
+  cat "${BUILD_DIR}/check_model_inspect.txt" >&2
+  exit 1
+fi
+echo "jsr_model inspect: paths.cluster_table present, no attention.* section"
 "${BUILD_DIR}/tools/jsr_model" classify "${BUILD_DIR}/check_model.jsrm" \
     examples/samples/dropper.js
 

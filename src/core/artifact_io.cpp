@@ -1,12 +1,14 @@
-// JSRM v3 artifact writer: serializes a trained JsRevealer into the
+// JSRM v4 artifact writer: serializes a trained JsRevealer into the
 // page-aligned, checksummed section layout of core/model_format.h. train()
 // builds the bytes once and attaches its ModelView to them; save_artifact()
 // hands those same bytes back.
 //
-// The writer gathers every parameter block in its flat training-time form
-// (the vocabulary's three buffers verbatim, the attention matrices' backing
-// vectors, the packed benign bitset, the flattened forest) and lays them out
-// back to back on 4 KiB boundaries with zero-filled gaps. Nothing here is
+// The writer gathers every block inference reads in its flat training-time
+// form (the vocabulary's three buffers verbatim, the per-id cluster table,
+// the packed benign bitset, the flattened forest) and lays them out back to
+// back on 4 KiB boundaries with zero-filled gaps. The embedding matrix and
+// the centroids stay in the trainer: the cluster table already holds
+// everything inference derived from them. Nothing here is
 // sampled, timed, or randomized, so a deterministic model produces
 // byte-identical artifacts at any thread width.
 #include <cstring>
@@ -123,18 +125,8 @@ std::vector<std::uint8_t> JsRevealer::build_artifact() const {
                      vocab_.table());
   add_section(&buf, &sections, fmt::SectionId::kVocabBlob,
               vocab_.blob().data(), vocab_.blob().size());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionW,
-                     model_.weight_matrix().data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionA,
-                     model_.attention_vector());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionU,
-                     model_.head_matrix().data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionBias,
-                     model_.head_bias());
-  add_vector_section(&buf, &sections, fmt::SectionId::kCentroids,
-                     centroids_.data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kCentroidRadius,
-                     centroid_radius_);
+  add_vector_section(&buf, &sections, fmt::SectionId::kClusterTable,
+                     cluster_table_);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentroidBenign,
                      centroid_benign_);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentralPathOffsets,

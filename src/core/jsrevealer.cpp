@@ -284,6 +284,21 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   assign_central(malicious_vecs, malicious_ids);
 
   // ---- Stage 5: featurize the training corpus and fit the classifier ------
+  // Fold W, the attention vector and the centroids into one record per
+  // vocabulary id; the artifact stores this table and ModelView runs the
+  // same kernel over it, so training rows are exactly the served rows.
+  {
+    obs::Span span("core.train.cluster_table", "core");
+    cluster_table_ = build_cluster_table(model_, centroids_, centroid_radius_,
+                                         cfg_.threads);
+  }
+  ClusterTable table;
+  table.records = cluster_table_.data();
+  table.benign = centroid_benign_.data();
+  table.vocab_size = static_cast<std::uint32_t>(cluster_table_.size());
+  table.feature_dim = static_cast<std::uint32_t>(feature_dim_);
+  table.binary_features = cfg_.binary_cluster_features;
+
   // Cluster-membership features, then (when enabled) the per-script lint
   // summary tail. Both land in disjoint row slots, so the fan-out keeps the
   // bit-identical-at-any-width guarantee.
@@ -293,8 +308,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     obs::Span span("core.train.featurize", "core");
     Timer t_wall;
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
-      ml::EmbeddedScript emb = model_.embed(script_ids[i]);
-      const std::vector<double> f = features_from_embedding(emb);
+      const std::vector<double> f = cluster_features(table, script_ids[i]);
       std::copy(f.begin(), f.end(), x.row(i));
       if (lint_dim_ != 0) {
         std::copy(lint_vecs[i].begin(), lint_vecs[i].end(),
@@ -317,20 +331,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // Trusted attach: the bytes were built in this process a moment ago.
   obs::Span span("core.train.artifact", "core");
   view_.from_buffer(build_artifact(), /*verify_checksums=*/false);
-}
-
-std::vector<double> JsRevealer::features_from_embedding(
-    const ml::EmbeddedScript& emb) const {
-  // The kernel ModelView runs, over this trainer's own storage, so training
-  // rows match what the view computes for the same scripts.
-  ClusterParams p;
-  p.centroids = centroids_.data().data();
-  p.radius = centroid_radius_.data();
-  p.benign = centroid_benign_.data();
-  p.feature_dim = static_cast<std::uint32_t>(feature_dim_);
-  p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  p.binary_features = cfg_.binary_cluster_features;
-  return cluster_features(p, emb);
 }
 
 ml::Metrics JsRevealer::evaluate(const dataset::Corpus& corpus) const {

@@ -102,6 +102,15 @@ class JsRevealer final : public detect::Detector {
   /// The view every inference call runs through (unloaded before train()).
   const ModelView& view() const { return view_; }
 
+  /// Trainer-side parameters the artifact does not carry: the embedding
+  /// model (W and the attention vector) and the surviving centroids with
+  /// their RMS radii. train() folds them into the per-id cluster table.
+  const ml::AttentionModel& embedding_model() const { return model_; }
+  const ml::Matrix& centroids() const { return centroids_; }
+  const std::vector<double>& centroid_radius() const {
+    return centroid_radius_;
+  }
+
   const StageTimings& timings() const { return view_.timings(); }
 
   /// SSE curve helper for the Fig. 5 elbow plot: clusters one class's path
@@ -110,7 +119,7 @@ class JsRevealer final : public detect::Detector {
   std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
                                 int k_lo, int k_hi);
 
-  /// The trained model as a JSRM v3 artifact (core/model_format.h): the
+  /// The trained model as a JSRM v4 artifact (core/model_format.h): the
   /// bytes train() built and the view classifies from, page-aligned with
   /// per-section checksums and mappable by ModelView::map_file. Bytes are
   /// deterministic for a deterministic model. Throws std::logic_error
@@ -124,12 +133,7 @@ class JsRevealer final : public detect::Detector {
   std::vector<paths::PathContext> extract(
       const analysis::ScriptAnalysis& analysis) const;
 
-  /// Cluster-membership features (attention weight accumulated per cluster)
-  /// of an embedded training script, before scaling.
-  std::vector<double> features_from_embedding(
-      const ml::EmbeddedScript& emb) const;
-
-  /// Serializes the trained parameters into JSRM v3 bytes.
+  /// Serializes the trained parameters into JSRM v4 bytes.
   std::vector<std::uint8_t> build_artifact() const;
 
   Config cfg_;
@@ -142,6 +146,9 @@ class JsRevealer final : public detect::Detector {
   // helpers) — the exact words the artifact stores.
   std::vector<std::uint64_t> centroid_benign_;
   std::vector<double> centroid_radius_; // RMS radius per centroid
+  // One record per vocabulary id (feature_ops.h): the artifact's
+  // paths.cluster_table, built once per train().
+  std::vector<PathClusterRec> cluster_table_;
   std::vector<std::string> central_path_;      // Table VII inverse index
   std::size_t feature_dim_ = 0;
   std::size_t clusters_removed_ = 0;

@@ -1,4 +1,4 @@
-// JSRM v3 model artifact: the on-disk layout of a trained JsRevealer as an
+// JSRM v4 model artifact: the on-disk layout of a trained JsRevealer as an
 // immutable, mmap-able binary.
 //
 //   [ArtifactHeader][SectionRec x section_count][...payloads...]
@@ -6,9 +6,15 @@
 // The header and the section table are fixed-width little-endian structs at
 // offset 0; every payload starts on a kSectionAlign (4 KiB) boundary so a
 // mapped file hands out naturally-aligned pointers for every element type
-// the sections contain (doubles, u64 words, 32-byte node records). Gaps are
+// the sections contain (doubles, u64 words, 16-byte cluster-table records,
+// 32-byte node records). Gaps are
 // zero-filled, which together with deterministic training makes the whole
 // artifact byte-identical across runs and thread widths.
+//
+// The artifact carries only what inference reads. The embedding matrix W,
+// the attention vector and the centroid geometry stay in the trainer; the
+// writer folds them into paths.cluster_table, one record per vocabulary id
+// (core/feature_ops.h), so serving a script is lookup, softmax, accumulate.
 //
 // Each SectionRec carries an FNV-1a64 checksum over its payload; loaders
 // verify them before trusting any pointer, so a truncated or bit-flipped
@@ -23,7 +29,7 @@
 namespace jsrev::core::fmt {
 
 inline constexpr char kMagic[4] = {'J', 'S', 'R', 'M'};
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
 /// Header flag bits.
@@ -35,22 +41,17 @@ enum class SectionId : std::uint32_t {
   kVocabEntries = 1,        // VocabEntryRec[vocab_size]
   kVocabTable = 2,          // u32[vocab_table_size] open-addressing slots
   kVocabBlob = 3,           // concatenated "src|path|tgt" keys
-  kAttentionW = 4,          // f64[vocab_size * embedding_dim]
-  kAttentionA = 5,          // f64[embedding_dim]
-  kAttentionU = 6,          // f64[2 * embedding_dim]
-  kAttentionBias = 7,       // f64[2]
-  kCentroids = 8,           // f64[feature_dim * embedding_dim]
-  kCentroidRadius = 9,      // f64[feature_dim]
-  kCentroidBenign = 10,     // u64[(feature_dim + 63) / 64] packed bits
-  kCentralPathOffsets = 11, // u32[feature_dim + 1] prefix into the blob
-  kCentralPathBlob = 12,    // concatenated central-path strings
-  kScalerMin = 13,          // f64[feature_dim + lint_dim]
-  kScalerMax = 14,          // f64[feature_dim + lint_dim]
-  kForestOffsets = 15,      // u32[n_trees + 1] prefix into the node pool
-  kForestNodes = 16,        // ForestNodeRec[offsets[n_trees]]
+  kClusterTable = 4,        // PathClusterRec[vocab_size]
+  kCentroidBenign = 5,      // u64[(feature_dim + 63) / 64] packed bits
+  kCentralPathOffsets = 6,  // u32[feature_dim + 1] prefix into the blob
+  kCentralPathBlob = 7,     // concatenated central-path strings
+  kScalerMin = 8,           // f64[feature_dim + lint_dim]
+  kScalerMax = 9,           // f64[feature_dim + lint_dim]
+  kForestOffsets = 10,      // u32[n_trees + 1] prefix into the node pool
+  kForestNodes = 11,        // ForestNodeRec[offsets[n_trees]]
 };
 
-inline constexpr std::uint32_t kSectionCount = 16;
+inline constexpr std::uint32_t kSectionCount = 11;
 
 /// Human-readable section name (diagnostics, `jsr_model inspect`).
 inline const char* section_name(SectionId id) {
@@ -58,12 +59,7 @@ inline const char* section_name(SectionId id) {
     case SectionId::kVocabEntries: return "vocab.entries";
     case SectionId::kVocabTable: return "vocab.table";
     case SectionId::kVocabBlob: return "vocab.blob";
-    case SectionId::kAttentionW: return "attention.w";
-    case SectionId::kAttentionA: return "attention.a";
-    case SectionId::kAttentionU: return "attention.u";
-    case SectionId::kAttentionBias: return "attention.bias";
-    case SectionId::kCentroids: return "clusters.centroids";
-    case SectionId::kCentroidRadius: return "clusters.radius";
+    case SectionId::kClusterTable: return "paths.cluster_table";
     case SectionId::kCentroidBenign: return "clusters.benign";
     case SectionId::kCentralPathOffsets: return "clusters.central_offsets";
     case SectionId::kCentralPathBlob: return "clusters.central_blob";
@@ -92,7 +88,7 @@ struct ArtifactHeader {
   std::uint64_t file_size = 0;            // total artifact bytes
   std::uint32_t section_count = 0;
   std::uint32_t flags = 0;                // kFlag* bits
-  std::uint32_t embedding_dim = 0;
+  std::uint32_t embedding_dim = 0;        // d of the trainer (informational)
   std::uint32_t feature_dim = 0;          // surviving clusters (both classes)
   std::uint32_t lint_dim = 0;             // 0 = no lint feature tail
   std::uint32_t clusters_removed = 0;

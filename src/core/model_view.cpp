@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
@@ -195,7 +196,6 @@ void ModelView::attach(std::shared_ptr<const void> owner,
     }
   } rollback{this};
 
-  const auto d = static_cast<std::size_t>(hdr.embedding_dim);
   const std::size_t n_features = hdr.feature_dim + hdr.lint_dim;
   auto expect_size = [&](fmt::SectionId id, std::uint64_t want) {
     std::size_t got = 0;
@@ -232,29 +232,36 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   vocab_ = paths::PathVocabView(blob, entries, hdr.vocab_size, table,
                                 hdr.vocab_table_size);
 
-  // --- attention model ---
-  attn_.w = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kAttentionW, std::uint64_t(hdr.vocab_size) * d * 8));
-  attn_.attn = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionA, std::uint64_t(d) * 8));
-  attn_.u = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionU, std::uint64_t(2) * d * 8));
-  attn_.bias = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionBias, 16));
-  attn_.vocab_size = hdr.vocab_size;
-  attn_.dim = hdr.embedding_dim;
-
-  // --- cluster geometry ---
-  cluster_.centroids = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kCentroids, std::uint64_t(hdr.feature_dim) * d * 8));
-  cluster_.radius = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kCentroidRadius, std::uint64_t(hdr.feature_dim) * 8));
-  cluster_.benign = reinterpret_cast<const std::uint64_t*>(expect_size(
+  // --- cluster table ---
+  // Every record must name a surviving cluster or -1, keep its pad zero and
+  // carry a finite logit: a crafted cluster index would write past the
+  // feature vector, and a non-finite logit would poison the softmax.
+  const auto* records = reinterpret_cast<const PathClusterRec*>(
+      expect_size(fmt::SectionId::kClusterTable,
+                  std::uint64_t(hdr.vocab_size) * sizeof(PathClusterRec)));
+  for (std::uint32_t i = 0; i < hdr.vocab_size; ++i) {
+    const PathClusterRec& r = records[i];
+    std::string why;
+    if (r.cluster < -1 ||
+        r.cluster >= static_cast<std::int64_t>(hdr.feature_dim)) {
+      why = "cluster " + std::to_string(r.cluster) + " outside [-1, " +
+            std::to_string(hdr.feature_dim) + ")";
+    } else if (r.pad != 0) {
+      why = "pad is not zero";
+    } else if (!std::isfinite(r.logit)) {
+      why = "logit is not finite";
+    }
+    if (!why.empty()) {
+      fail("paths.cluster_table", i, "entry " + std::to_string(i) + ": " + why);
+    }
+  }
+  cluster_table_.records = records;
+  cluster_table_.benign = reinterpret_cast<const std::uint64_t*>(expect_size(
       fmt::SectionId::kCentroidBenign,
       std::uint64_t(benign_word_count(hdr.feature_dim)) * 8));
-  cluster_.feature_dim = hdr.feature_dim;
-  cluster_.dim = hdr.embedding_dim;
-  cluster_.binary_features =
+  cluster_table_.vocab_size = hdr.vocab_size;
+  cluster_table_.feature_dim = hdr.feature_dim;
+  cluster_table_.binary_features =
       (hdr.flags & fmt::kFlagBinaryClusterFeatures) != 0;
 
   // --- interpretability index ---
@@ -369,11 +376,13 @@ std::vector<double> ModelView::featurize(
   const auto pcs = paths::extract_paths(analysis.root(), flow, path_cfg_);
   const double traverse_ms = t_paths.elapsed_ms();
 
+  // Embedding and cluster assignment: vocabulary lookup, then the table
+  // kernel (lookup, softmax, accumulate).
   Timer t_embed;
   std::vector<std::int32_t> ids;
   ids.reserve(pcs.size());
   for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
-  ml::EmbeddedScript emb = ml::embed_paths(attn_, ids);
+  std::vector<double> f = cluster_features(cluster_table_, ids, prov);
   const double embed_ms = t_embed.elapsed_ms();
   {
     std::lock_guard<std::mutex> lock(timing_mu_);
@@ -386,7 +395,6 @@ std::vector<double> ModelView::featurize(
     timings_.embedding.add(embed_ms);
   }
 
-  std::vector<double> f = cluster_features(cluster_, emb, prov);
   if (header_.lint_dim != 0) {
     Timer t_lint;
     const lint::LintResult lr = linter_.lint(analysis);

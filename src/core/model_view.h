@@ -4,9 +4,9 @@
 // inference path: JsRevealer trains and builds the artifact
 // (core/artifact_io.cpp), then classifies through a ModelView over those
 // bytes; serving processes map the same bytes from a file. No parameter is
-// parsed into owned storage — the vocabulary probe table, attention matrices,
-// cluster geometry, scaler bounds, and forest node pool are all borrowed
-// pointers into the mapping, so N detector processes sharing one artifact
+// parsed into owned storage — the vocabulary probe table, the per-id cluster
+// table, scaler bounds, and forest node pool are all borrowed pointers into
+// the mapping, so N detector processes sharing one artifact
 // share one page cache copy, and opening a model costs validation (header,
 // section table, checksums, index bounds) instead of deserialization.
 //
@@ -57,7 +57,9 @@ struct StageTimings {
   TimingStats enhanced_ast{"enhanced_ast"};  // scope + data-flow augmentation
   TimingStats path_traversal{"path_traversal"};  // path-context enumeration
   TimingStats pretraining{"pretraining"};  // embedding training (per file)
-  TimingStats embedding{"embedding"};  // per-file embedding at inference
+  // Per-file vocabulary lookup + cluster-table kernel (embedding and
+  // cluster assignment: lookup, softmax, accumulate) at inference.
+  TimingStats embedding{"embedding"};
   TimingStats outlier{"outlier"};      // outlier detection (train once)
   TimingStats clustering{"clustering"};  // bisecting k-means (train once)
   TimingStats classifier_train{"classifier_train"};
@@ -173,6 +175,9 @@ class ModelView {
   /// Borrowed vocabulary view (tests compare it against the trainer's).
   const paths::PathVocabView& vocab() const { return vocab_; }
 
+  /// Borrowed per-id cluster table (tests run its kernel directly).
+  const ClusterTable& cluster_table() const { return cluster_table_; }
+
   /// Central path of surviving cluster `f` (the Table VII inverse index),
   /// as a view into the mapping.
   std::string_view central_path(std::size_t f) const {
@@ -208,8 +213,7 @@ class ModelView {
 
   // Borrowed views into the mapping (valid while owner_ lives).
   paths::PathVocabView vocab_;
-  ml::AttentionParams attn_;
-  ClusterParams cluster_;
+  ClusterTable cluster_table_;
   ml::ForestView forest_;
   const double* scaler_min_ = nullptr;
   const double* scaler_max_ = nullptr;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "ml/model_view_ops.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace jsrev::ml {
@@ -191,19 +190,26 @@ double AttentionModel::train(const std::vector<ScriptPaths>& scripts,
 
 EmbeddedScript AttentionModel::embed(
     const std::vector<std::int32_t>& path_ids) const {
-  static obs::Counter* embeds =
-      obs::metrics().counter("ml.attention.embed_calls");
-  embeds->add();
-  // The shared raw-pointer kernel ModelView runs at inference, so training
-  // rows embed exactly as the artifact later does.
-  AttentionParams p;
-  p.w = w_.data().data();
-  p.attn = attn_.data();
-  p.u = u_.data().data();
-  p.bias = bias_.data();
-  p.vocab_size = static_cast<std::uint32_t>(vocab_size_);
-  p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  return embed_paths(p, path_ids);
+  EmbeddedScript out;
+  for (const std::int32_t id : path_ids) {
+    if (id >= 0 && static_cast<std::size_t>(id) < vocab_size_) {
+      out.path_ids.push_back(id);
+    }
+  }
+  const std::size_t n = out.path_ids.size();
+  const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
+  out.embeddings = Matrix(n, d);
+  out.weights.resize(n);
+  if (n == 0) return out;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* wrow = w_.row(static_cast<std::size_t>(out.path_ids[i]));
+    double* erow = out.embeddings.row(i);
+    for (std::size_t k = 0; k < d; ++k) erow[k] = std::tanh(wrow[k]);
+    out.weights[i] = dot(erow, attn_.data(), d);
+  }
+  softmax_inplace(out.weights);
+  return out;
 }
 
 double AttentionModel::predict_malicious(

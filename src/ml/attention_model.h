@@ -11,9 +11,11 @@
 //     y' = softmax(U v + b)                          (Eq. 4)
 // trained with cross-entropy loss (Eq. 5) via manual backprop (Adam).
 //
-// After pre-training on a labeled corpus, the model exposes, per script,
-// the path embeddings e_i and attention weights alpha_i — the inputs of the
-// feature-extraction stage.
+// After pre-training on a labeled corpus, the model exposes the embedding
+// e = tanh(W[id]) of each vocabulary entry and the attention vector a. The
+// detector folds both, per id, into its cluster table (core/feature_ops.h);
+// embed() computes the per-script e_i and alpha_i directly and is the
+// reference that table is checked against.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,9 @@ class AttentionModel {
   double train(const std::vector<ScriptPaths>& scripts,
                std::size_t vocab_size);
 
-  /// Embeds the paths of one (possibly unseen) script. Unknown path ids are
-  /// skipped. An empty script yields an empty result.
+  /// Embeds the paths of one (possibly unseen) script: e_i = tanh(W[id_i]),
+  /// alpha = softmax(e . a). Unknown path ids are skipped. An empty script
+  /// yields an empty result.
   EmbeddedScript embed(const std::vector<std::int32_t>& path_ids) const;
 
   /// Classifier-head probability that the script is malicious (used by
@@ -71,13 +74,9 @@ class AttentionModel {
   /// Embedding of a single vocabulary entry (column of W through tanh).
   std::vector<double> path_embedding(std::int32_t path_id) const;
 
-  // Flat parameter access for the artifact writer (serialized verbatim; the
-  // mapped ModelView reads the same layout back zero-copy).
+  // Parameter access for the cluster-table builder.
   std::size_t vocab_size() const { return vocab_size_; }
-  const Matrix& weight_matrix() const { return w_; }
   const std::vector<double>& attention_vector() const { return attn_; }
-  const Matrix& head_matrix() const { return u_; }
-  const std::vector<double>& head_bias() const { return bias_; }
 
  private:
   struct Forward {

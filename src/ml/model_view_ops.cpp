@@ -32,31 +32,6 @@ int nearest_centroid_raw(const double* centroids, std::size_t n,
   return best;
 }
 
-EmbeddedScript embed_paths(const AttentionParams& p,
-                           const std::vector<std::int32_t>& path_ids) {
-  EmbeddedScript out;
-  for (const std::int32_t id : path_ids) {
-    if (id >= 0 && static_cast<std::uint32_t>(id) < p.vocab_size) {
-      out.path_ids.push_back(id);
-    }
-  }
-  const std::size_t n = out.path_ids.size();
-  const std::size_t d = p.dim;
-  out.embeddings = Matrix(n, d);
-  out.weights.resize(n);
-  if (n == 0) return out;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* wrow =
-        p.w + static_cast<std::size_t>(out.path_ids[i]) * d;
-    double* erow = out.embeddings.row(i);
-    for (std::size_t k = 0; k < d; ++k) erow[k] = std::tanh(wrow[k]);
-    out.weights[i] = dot(erow, p.attn, d);
-  }
-  softmax_inplace(out.weights);
-  return out;
-}
-
 double ForestView::predict_proba(const double* row) const {
   double s = 0.0;
   for (std::uint32_t t = 0; t < n_trees; ++t) {

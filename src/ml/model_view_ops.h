@@ -1,46 +1,29 @@
-// Raw-pointer inference kernels shared by the trainer and ModelView.
+// Raw-pointer kernels shared by the trainer and ModelView.
 //
 // Every parameter block here is a borrowed view over flat little-endian
 // arrays — either the training-time std::vector storage or bytes mapped
 // straight from a JSRM model artifact. The training classes
-// (AttentionModel, MinMaxScaler) run these kernels over their own storage
-// when they build the forest's training rows, so those rows are exactly
-// what ModelView computes from the artifact for the same scripts.
+// (AttentionModel, KMeans, MinMaxScaler, the cluster-table builder) run
+// these kernels over their own storage, so the forest's training rows are
+// exactly what ModelView computes from the artifact for the same scripts.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ml/attention_model.h"
 #include "ml/matrix.h"
 
 namespace jsrev::ml {
 
 /// Numerically-stable softmax, in place. Exposed so the attention trainer
-/// and the embed kernel share one implementation.
+/// and the cluster-feature kernel share one implementation.
 void softmax_inplace(std::vector<double>& v);
 
 /// Index of the nearest centroid among `n` rows of `d` doubles (strictly
 /// closer wins; ties keep the lower index — the Matrix overload in kmeans.h
-/// delegates here).
+/// and the cluster-table builder delegate here).
 int nearest_centroid_raw(const double* centroids, std::size_t n,
                          std::size_t d, const double* point);
-
-/// Attention-model inference parameters (paper Eq. 1-3) as raw arrays.
-struct AttentionParams {
-  const double* w = nullptr;     // vocab_size x dim embedding matrix
-  const double* attn = nullptr;  // attention vector a, length dim
-  const double* u = nullptr;     // 2 x dim classifier head (unused by embed)
-  const double* bias = nullptr;  // length 2 (unused by embed)
-  std::uint32_t vocab_size = 0;
-  std::uint32_t dim = 0;
-};
-
-/// Embeds one script's path ids: e_i = tanh(W[id_i]), alpha = softmax(e·a).
-/// Ids outside [0, vocab_size) are skipped. AttentionModel::embed routes
-/// through this kernel.
-EmbeddedScript embed_paths(const AttentionParams& p,
-                           const std::vector<std::int32_t>& path_ids);
 
 /// One random-forest node as a fixed-width 32-byte record — the on-disk and
 /// in-memory unit of the artifact's preorder node pool. Child indices are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -22,6 +23,11 @@ std::string labels_to_string(const Labels& labels) {
     out += v;
   }
   return out;
+}
+
+/// Observations in one histogram bucket snapshot.
+std::uint64_t total_count(const std::vector<std::uint64_t>& buckets) {
+  return std::accumulate(buckets.begin(), buckets.end(), std::uint64_t{0});
 }
 
 }  // namespace
@@ -169,7 +175,6 @@ void Histogram::observe(double v) noexcept {
   const std::size_t b = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
   c.buckets[b].fetch_add(1, std::memory_order_relaxed);
-  c.count.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(c.sum, v);
 }
 
@@ -183,13 +188,7 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : cells_) {
-    total += c.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
+std::uint64_t Histogram::count() const { return total_count(bucket_counts()); }
 
 double Histogram::sum() const noexcept {
   double total = 0.0;
@@ -200,7 +199,6 @@ double Histogram::sum() const noexcept {
 void Histogram::reset() noexcept {
   for (auto& c : cells_) {
     for (auto& b : c.buckets) b.store(0, std::memory_order_relaxed);
-    c.count.store(0, std::memory_order_relaxed);
     c.sum.store(0.0, std::memory_order_relaxed);
   }
 }
@@ -318,10 +316,12 @@ std::vector<MetricSample> Registry::samples() const {
         s.sum = e->summary->sum();
         break;
       case MetricKind::kHistogram:
-        s.count = e->histogram->count();
+        // Count from the same bucket snapshot, so the exposition's
+        // cumulative buckets always end at _count.
+        s.buckets = e->histogram->bucket_counts();
+        s.count = total_count(s.buckets);
         s.sum = e->histogram->sum();
         s.bounds = e->histogram->bounds();
-        s.buckets = e->histogram->bucket_counts();
         break;
     }
     out.push_back(std::move(s));
@@ -373,7 +373,8 @@ std::string Registry::export_json(bool deterministic_only) const {
       case MetricKind::kHistogram: {
         w.kv("type", "histogram");
         const Histogram& h = *e->histogram;
-        w.kv("count", h.count());
+        const std::vector<std::uint64_t> buckets = h.bucket_counts();
+        w.kv("count", total_count(buckets));
         w.kv("sum", h.sum());
         w.key("bounds");
         w.begin_array();
@@ -381,7 +382,7 @@ std::string Registry::export_json(bool deterministic_only) const {
         w.end_array();
         w.key("buckets");
         w.begin_array();
-        for (const std::uint64_t c : h.bucket_counts()) w.value(c);
+        for (const std::uint64_t c : buckets) w.value(c);
         w.end_array();
         break;
       }

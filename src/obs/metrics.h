@@ -141,14 +141,16 @@ class Histogram {
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Merged per-bucket counts; size bounds().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const noexcept;
+  /// Total observations: the sum of one bucket_counts() snapshot. There is
+  /// no separate count cell, so a count taken with its buckets can never
+  /// disagree with them under concurrent observe() calls.
+  std::uint64_t count() const;
   double sum() const noexcept;
   void reset() noexcept;
 
  private:
   struct alignas(64) Cell {
     std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0.0};
   };
   std::vector<double> bounds_;

@@ -3,7 +3,7 @@
 // Three pieces, deliberately free of socket code so tests and benches drive
 // them in-process (the fd plumbing lives in serve/server.h):
 //
-//  * ServeModel — the serving handle: it maps a JSRM v3 artifact read-only
+//  * ServeModel — the serving handle: it maps a JSRM v4 artifact read-only
 //    (core::ModelView, the zero-copy path) and classifies through it; parse
 //    limits and the deobfuscate flag are mirrored out so callers build
 //    bit-identical ScriptAnalysis inputs.
@@ -68,7 +68,7 @@ struct ServeOptions {
 /// One serving handle over a mapped model artifact.
 class ServeModel {
  public:
-  /// Maps `path` as a JSRM v3 artifact (read-only, zero-copy). Throws
+  /// Maps `path` as a JSRM v4 artifact (read-only, zero-copy). Throws
   /// ser::ModelFormatError on malformed content and std::runtime_error when
   /// the file cannot be mapped.
   explicit ServeModel(const std::string& path);

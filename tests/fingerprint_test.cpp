@@ -114,7 +114,7 @@ TEST(Fingerprint, DefaultPipelinePinned) {
                         "100001000000000000100000111111111011010111111111"
                         "110001000000000100101000111111111011011111111111"
                         "000000000000000000100000111111111111011111111111",
-                        7926420421029001679ULL, 7046581095602370299ULL});
+                        7926420421029001679ULL, 4595762059808584816ULL});
 }
 
 TEST(Fingerprint, DeobLintPipelinePinned) {
@@ -123,7 +123,7 @@ TEST(Fingerprint, DeobLintPipelinePinned) {
                        "000000000000000000100010111110110111011111111011"
                        "000000000000000000100010111110110111011111111011"
                        "000000000000000000100010111110110111011111111011",
-                       12977392418711298517ULL, 14745701701200496368ULL});
+                       12977392418711298517ULL, 18413065343890955438ULL});
 }
 
 }  // namespace

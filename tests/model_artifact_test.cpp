@@ -1,15 +1,18 @@
-// Tests for the JSRM v3 model artifact: the trainer must emit byte-identical
+// Tests for the JSRM v4 model artifact: the trainer must emit byte-identical
 // artifacts at any parallel width, a view of the mapped file must classify
-// like one over the in-memory bytes at every batch width, and malformed
-// artifacts — truncated, bit-flipped, or crafted and re-checksummed — must
-// fail with ser::ModelFormatError, never a crash, a hang or a silently
-// different verdict. (Verdicts and feature bytes themselves are pinned by
-// fingerprint_test.)
+// like one over the in-memory bytes at every batch width, the per-id cluster
+// table must reproduce the per-path embedding + nearest-centroid reference
+// exactly, and malformed artifacts — truncated, bit-flipped, or crafted and
+// re-checksummed — must fail with ser::ModelFormatError, never a crash, a
+// hang or a silently different verdict. (Verdicts and feature bytes
+// themselves are pinned by fingerprint_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,7 +20,9 @@
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
+#include "ml/model_view_ops.h"
 #include "obfuscators/obfuscator.h"
+#include "paths/path_extraction.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 
@@ -149,6 +154,149 @@ TEST_F(ArtifactFixture, CentralPathParity) {
   }
 }
 
+/// Unscaled cluster features and their provenance by the per-path
+/// definition (paper Eq. 1-3, Section III-D): embed every known path with
+/// the trainer's W (AttentionModel::embed), then assign each embedding to
+/// its nearest centroid unless it lies beyond four of `radius`.
+struct ReferenceFeatures {
+  std::vector<double> f;
+  obs::VerdictProvenance prov;
+};
+
+ReferenceFeatures reference_features(const core::JsRevealer& trainer,
+                                     const std::vector<double>& radius,
+                                     const std::vector<std::int32_t>& ids) {
+  const ml::Matrix& centroids = trainer.centroids();
+  const std::uint64_t* benign = trainer.view().cluster_table().benign;
+  const std::size_t d = centroids.cols();
+  const ml::EmbeddedScript emb = trainer.embedding_model().embed(ids);
+  ReferenceFeatures out;
+  out.f.assign(centroids.rows(), 0.0);
+  for (std::size_t i = 0; i < emb.embeddings.rows(); ++i) {
+    const double* e = emb.embeddings.row(i);
+    const auto c = static_cast<std::size_t>(ml::nearest_centroid_raw(
+        centroids.data().data(), centroids.rows(), d, e));
+    const double dist = std::sqrt(ml::squared_distance(e, centroids.row(c), d));
+    if (radius[c] > 0 && dist > 4.0 * radius[c]) {
+      ++out.prov.paths_outside_clusters;
+      continue;
+    }
+    if (trainer.config().binary_cluster_features) {
+      out.f[c] = 1.0;
+    } else {
+      out.f[c] += emb.weights[i];
+    }
+  }
+  for (std::size_t c = 0; c < out.f.size(); ++c) {
+    if (out.f[c] == 0.0) continue;
+    obs::ClusterAttention ca;
+    ca.feature_index = static_cast<int>(c);
+    ca.from_benign = core::benign_bit(benign, c);
+    ca.mass = out.f[c];
+    out.prov.cluster_attention.push_back(ca);
+  }
+  return out;
+}
+
+void expect_same_cluster_provenance(const obs::VerdictProvenance& got,
+                                    const obs::VerdictProvenance& want,
+                                    std::size_t script) {
+  EXPECT_EQ(got.paths_outside_clusters, want.paths_outside_clusters)
+      << "script " << script;
+  ASSERT_EQ(got.cluster_attention.size(), want.cluster_attention.size())
+      << "script " << script;
+  for (std::size_t k = 0; k < want.cluster_attention.size(); ++k) {
+    const obs::ClusterAttention& g = got.cluster_attention[k];
+    const obs::ClusterAttention& w = want.cluster_attention[k];
+    EXPECT_EQ(g.feature_index, w.feature_index) << "script " << script;
+    EXPECT_EQ(g.from_benign, w.from_benign) << "script " << script;
+    EXPECT_EQ(std::memcmp(&g.mass, &w.mass, sizeof(double)), 0)
+        << "script " << script;
+  }
+}
+
+/// Runs the table kernel over `table` for every 7th evaluation script and
+/// requires its features to memcmp-equal the per-path reference under
+/// `radius`, with equal provenance. With `check_explain`, the view's own
+/// explain() record must match too. Returns how many scripts had paths
+/// outside every cluster.
+std::size_t expect_table_matches_reference(const core::JsRevealer& trainer,
+                                           const core::ClusterTable& table,
+                                           const std::vector<double>& radius,
+                                           bool check_explain) {
+  const core::ModelView& view = trainer.view();
+  EXPECT_EQ(table.vocab_size, view.vocab_size());
+  const std::vector<std::string> scripts = evaluation_scripts();
+  std::size_t compared = 0;
+  std::size_t with_outside = 0;
+  for (std::size_t i = 0; i < scripts.size(); i += 7) {
+    const analysis::ScriptAnalysis a(scripts[i], view.parse_limits(),
+                                     view.deobfuscate());
+    if (a.parse_failed()) continue;
+    const std::vector<paths::PathContext> pcs = paths::extract_paths(
+        a.root(), view.path_config().use_dataflow ? &a.dataflow() : nullptr,
+        view.path_config());
+    std::vector<std::int32_t> ids;
+    for (const auto& pc : pcs) ids.push_back(view.vocab().lookup(pc));
+
+    const ReferenceFeatures want = reference_features(trainer, radius, ids);
+    obs::VerdictProvenance got_prov;
+    const std::vector<double> got =
+        core::cluster_features(table, ids, &got_prov);
+    EXPECT_EQ(got.size(), want.f.size());
+    if (got.size() != want.f.size()) break;
+    EXPECT_EQ(std::memcmp(got.data(), want.f.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "script " << i;
+    expect_same_cluster_provenance(got_prov, want.prov, i);
+    if (check_explain) {
+      expect_same_cluster_provenance(view.explain(scripts[i]), want.prov, i);
+    }
+    ++compared;
+    with_outside += want.prov.paths_outside_clusters > 0;
+  }
+  EXPECT_GT(compared, 100u);
+  return with_outside;
+}
+
+TEST_F(ArtifactFixture, ClusterTableMatchesPerPathReference) {
+  expect_table_matches_reference(*trainer_, view_->cluster_table(),
+                                 trainer_->centroid_radius(),
+                                 /*check_explain=*/true);
+}
+
+TEST(ClusterTable, BinaryAblationMatchesPerPathReference) {
+  core::Config cfg = small_config(2);
+  cfg.binary_cluster_features = true;
+  core::JsRevealer det(cfg);
+  det.train(train_corpus());
+  expect_table_matches_reference(det, det.view().cluster_table(),
+                                 det.centroid_radius(),
+                                 /*check_explain=*/true);
+}
+
+TEST_F(ArtifactFixture, ClusterTableOutsideRadiusMatchesReference) {
+  // Trained models rarely place a path beyond four RMS radii, so shrink the
+  // radii to a quarter: many ids then fall outside every cluster, and the
+  // table's -1 records must reproduce the reference's outside count.
+  std::vector<double> radius = trainer_->centroid_radius();
+  for (double& r : radius) r *= 0.25;
+  const std::vector<core::PathClusterRec> records = core::build_cluster_table(
+      trainer_->embedding_model(), trainer_->centroids(), radius, 1);
+  const std::vector<core::PathClusterRec> wide = core::build_cluster_table(
+      trainer_->embedding_model(), trainer_->centroids(), radius, 8);
+  ASSERT_EQ(records.size(), wide.size());
+  EXPECT_EQ(std::memcmp(records.data(), wide.data(),
+                        records.size() * sizeof(core::PathClusterRec)),
+            0);
+  core::ClusterTable table = view_->cluster_table();
+  table.records = records.data();
+  EXPECT_GT(expect_table_matches_reference(*trainer_, table, radius,
+                                           /*check_explain=*/false),
+            0u);
+}
+
 TEST_F(ArtifactFixture, MappedVocabProbeTableIsConsistent) {
   const paths::PathVocabView& vocab = view_->vocab();
   ASSERT_GT(vocab.size(), 0u);
@@ -195,11 +343,12 @@ TEST_F(ArtifactFixture, CorruptHeaderThrowsModelFormatError) {
     core::ModelView view;
     EXPECT_THROW(view.from_buffer(std::move(bytes)), ser::ModelFormatError);
   }
-  {
+  for (const std::uint8_t version : {3, 99}) {  // 3: the layout with W
     std::vector<std::uint8_t> bytes = *artifact_;
-    bytes[4] = 99;  // version
+    bytes[4] = version;
     core::ModelView view;
-    EXPECT_THROW(view.from_buffer(std::move(bytes)), ser::ModelFormatError);
+    EXPECT_THROW(view.from_buffer(std::move(bytes)), ser::ModelFormatError)
+        << "version " << int(version);
   }
 }
 
@@ -315,6 +464,50 @@ TEST_F(ArtifactFixture, ChildIndexLoopIsRejected) {
   }
   back.reseal(SectionId::kForestNodes, nodes.size);
   expect_rejected(back.bytes, "back edge");
+}
+
+TEST_F(ArtifactFixture, MalformedClusterTableRecordIsRejected) {
+  // Re-checksummed records: only structural validation can catch these.
+  const std::uint32_t feature_dim = view_->header().feature_dim;
+  const std::uint32_t vocab = view_->header().vocab_size;
+  ASSERT_GT(vocab, 2u);
+  const std::uint32_t entry = vocab / 2;
+  struct Mutant {
+    const char* what;
+    void (*apply)(core::PathClusterRec*, std::uint32_t feature_dim);
+  };
+  const Mutant mutants[] = {
+      {"cluster = feature_dim",
+       [](core::PathClusterRec* r, std::uint32_t fd) {
+         r->cluster = static_cast<std::int32_t>(fd);
+       }},
+      {"cluster = -2",
+       [](core::PathClusterRec* r, std::uint32_t) { r->cluster = -2; }},
+      {"pad != 0", [](core::PathClusterRec* r, std::uint32_t) { r->pad = 1; }},
+      {"logit = NaN",
+       [](core::PathClusterRec* r, std::uint32_t) {
+         r->logit = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const Mutant& m : mutants) {
+    ArtifactEditor e{*artifact_};
+    const core::fmt::SectionRec table = e.rec(SectionId::kClusterTable);
+    const std::size_t at = table.offset + entry * sizeof(core::PathClusterRec);
+    auto rec = e.get<core::PathClusterRec>(at);
+    m.apply(&rec, feature_dim);
+    e.set(at, rec);
+    e.reseal(SectionId::kClusterTable, table.size);
+    expect_rejected(e.bytes, m.what);
+    core::ModelView view;
+    try {
+      view.from_buffer(e.bytes);
+    } catch (const ser::ModelFormatError& err) {
+      EXPECT_EQ(err.section(), "paths.cluster_table") << m.what;
+      EXPECT_NE(std::string(err.what()).find("entry " + std::to_string(entry)),
+                std::string::npos)
+          << m.what << ": " << err.what();
+    }
+  }
 }
 
 TEST(ModelViewApi, UnloadedViewIsSafe) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -99,6 +100,45 @@ TEST(Metrics, HistogramBucketsAndOverflow) {
   EXPECT_EQ(counts[3], 1u);
   EXPECT_EQ(h.count(), 4u);
   EXPECT_DOUBLE_EQ(h.sum(), 1008.5);
+}
+
+TEST(Metrics, HistogramSampleCountMatchesBucketsUnderConcurrentObserve) {
+  // Two writers observe while a reader takes samples(): every snapshot's
+  // buckets must sum to its count, or the Prometheus exposition's
+  // cumulative buckets overshoot _count and a scrape is rejected.
+  obs::Registry reg;
+  obs::Histogram* h = reg.histogram("test.latency", {0.5, 1.0, 2.0});
+  std::atomic<bool> stop{false};
+  std::atomic<int> running{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([h, &stop, &running, t] {
+      running.fetch_add(1);
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        h->observe(static_cast<double>((i + t) % 4) * 0.6);
+      }
+    });
+  }
+  while (running.load() < 2) std::this_thread::yield();
+  // Read for a fixed wall time, so a slow (sanitized) build still overlaps
+  // many observations with the reads.
+  std::uint64_t mismatches = 0;
+  std::uint64_t last = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    for (const obs::MetricSample& s : reg.samples()) {
+      std::uint64_t total = 0;
+      for (const std::uint64_t b : s.buckets) total += b;
+      mismatches += total != s.count;
+      last = s.count;
+    }
+  }
+  stop = true;
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(last, 0u);  // the writers really ran during the reads
+  EXPECT_EQ(h->count(), reg.samples().front().count);
 }
 
 TEST(Metrics, RegistryReturnsStablePointersPerNameAndLabels) {

@@ -24,8 +24,12 @@
 //      artifact must surface as ser::ModelFormatError from
 //      ModelView::from_buffer — never a crash — and a mutant that still
 //      loads (mutation landed in padding) must classify probe scripts
-//      exactly like the pristine artifact, never silently differently.
-//      Runs once up front, like the O5 verdict sweep.
+//      exactly like the pristine artifact, never silently differently. A
+//      second leg corrupts paths.cluster_table records (cluster index out
+//      of range, nonzero pad, non-finite logit) and re-seals the section
+//      checksum, so only structural validation can reject them; each such
+//      mutant must fail with ser::ModelFormatError. Runs once up front,
+//      like the O5 verdict sweep.
 //
 // Usage:
 //   $ jsr_fuzz --seed 1 --iters 2000            # CI smoke configuration
@@ -39,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -349,6 +354,70 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
     const std::size_t at = rng.below(flipped.size());
     flipped[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
     check_mutant(std::move(flipped), "bit flip");
+  }
+
+  // Re-checksummed cluster-table records: the checksum pass accepts them,
+  // so attach's structural checks are all that stands between a crafted
+  // record and an out-of-bounds feature write or a poisoned softmax.
+  const core::ArtifactInfo info = detector.view().info();
+  const std::uint32_t vocab = info.header.vocab_size;
+  const std::uint32_t feature_dim = info.header.feature_dim;
+  std::size_t rec_at = sizeof(core::fmt::ArtifactHeader);
+  core::fmt::SectionRec table;
+  for (const core::ArtifactSectionInfo& si : info.sections) {
+    if (si.rec.id == static_cast<std::uint32_t>(
+                         core::fmt::SectionId::kClusterTable)) {
+      table = si.rec;
+      break;
+    }
+    rec_at += sizeof(core::fmt::SectionRec);
+  }
+  for (int round = 0; round < 48 && vocab > 0; ++round) {
+    std::vector<std::uint8_t> mutant = artifact;
+    const std::size_t at =
+        table.offset + rng.below(vocab) * sizeof(core::PathClusterRec);
+    core::PathClusterRec rec;
+    std::memcpy(&rec, mutant.data() + at, sizeof rec);
+    switch (rng.below(4)) {
+      case 0:
+        rec.cluster = static_cast<std::int32_t>(feature_dim +
+                                                rng.below(1u << 20));
+        break;
+      case 1:
+        rec.cluster = -2 - static_cast<std::int32_t>(rng.below(1u << 20));
+        break;
+      case 2:
+        rec.pad = 1 + static_cast<std::uint32_t>(rng.below(0xffffffffu));
+        break;
+      default:
+        rec.logit = rng.below(2) == 0
+                        ? std::numeric_limits<double>::quiet_NaN()
+                        : std::numeric_limits<double>::infinity();
+        break;
+    }
+    std::memcpy(mutant.data() + at, &rec, sizeof rec);
+    core::fmt::SectionRec resealed = table;
+    resealed.checksum = fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(mutant.data() + table.offset),
+        table.size));
+    std::memcpy(mutant.data() + rec_at, &resealed, sizeof resealed);
+
+    ++stats.o6_checked;
+    core::ModelView view;
+    try {
+      view.from_buffer(std::move(mutant));
+    } catch (const ser::ModelFormatError&) {
+      continue;  // rejected by structural validation: the contract
+    } catch (const std::exception& e) {
+      report_failure(stats, "O6-artifact",
+                     std::string("cluster-table mutant raised a "
+                                 "non-ModelFormatError: ") +
+                         e.what(),
+                     "<artifact>");
+      continue;
+    }
+    report_failure(stats, "O6-artifact",
+                   "re-checksummed cluster-table mutant loaded", "<artifact>");
   }
 }
 

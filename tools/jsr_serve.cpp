@@ -8,7 +8,7 @@
 //   jsr_serve --model M.jsrm --stdio [--threads N] [--max-batch N]
 //             [--max-queue N] [--deob|--no-deob]
 //
-// The model is a JSRM v3 artifact (`jsr_model train --out` writes one),
+// The model is a JSRM v4 artifact (`jsr_model train --out` writes one),
 // mapped read-only and served zero-copy. Parse limits and the deobfuscate
 // flag default to the model's own configuration; --deob / --no-deob
 // override normalization.
